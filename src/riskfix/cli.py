@@ -23,12 +23,7 @@ from .experiments import (
     resolve_signal,
     run_experiment,
 )
-from .fixed_point import (
-    ORTHANT_CLOSED_FORM,
-    SUBSPACE_CLOSED_FORM,
-    FixedPointProblem,
-    solve,
-)
+from .fixed_point import FixedPointProblem, solve
 from .kernels import DiscretePrior, kernel_G, kernel_H
 from .linear_model import run_replicates
 from .sequence import mc_expectations
@@ -173,12 +168,7 @@ def cmd_risk_curve(args) -> None:
 def cmd_fixed_point(args) -> None:
     K = resolve_constraint(args.constraint, args.n)
     signal = resolve_signal(args.signal, args.n)
-    if K.kind == "orthant":
-        evaluator = ORTHANT_CLOSED_FORM
-    elif K.kind == "subspace":
-        evaluator = SUBSPACE_CLOSED_FORM
-    else:
-        evaluator = MonteCarloConfig(samples=args.samples, seed=_seed_of(args))
+    evaluator = MonteCarloConfig(samples=args.samples, seed=_seed_of(args))
     problem = FixedPointProblem(constraint=K, signal=signal, m=args.m, n=args.n,
                                 sigma2=args.sigma**2, err_evaluator=evaluator)
     sol = solve(problem, tol=args.tol)

@@ -202,19 +202,7 @@ def statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
     if K.kind == "monotone_cone":
         return mc_statistical_dimension(K, mc)
 
-    # l1 ball: sigma-doubling toward the high-noise limit.
-    H = gaussian_rows(mc.seed, mc.samples, K.n)
-    sigma, prev = 1.0, None
-    est = se = 0.0
-    for _ in range(60):
-        vals = row_sq_norms(project_rows(K, sigma * H)) / sigma**2
-        est = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(mc.samples))
-        if prev is not None and abs(est - prev) <= 1e-3 * max(abs(est), 1e-3):
-            break
-        prev = est
-        sigma *= 2.0
-    return est, se
+    return _noise_limit(K, 0.0, mc, 1.0, 2.0)
 
 
 def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig, sigma: float = 1.0):
@@ -240,19 +228,26 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
     if K.kind == "orthant":
         z = int(np.count_nonzero(np.abs(mu0) <= 1e-12))
         return K.n - z / 2.0, 0.0
+    return _noise_limit(K, mu0, mc, 1e-2, 0.5)
 
+
+def _noise_limit(K: ConstraintSet, center, mc: MonteCarloConfig, sigma: float, factor: float):
+    """Limit of E ||Pi_K(center + s h) - center||^2 / s^2 as s steps by ``factor``.
+
+    Starts at ``s = sigma`` and stops once the estimate moves by less than
+    1e-3 relative (absolute floor 1e-3); at most 60 steps.
+    """
     H = gaussian_rows(mc.seed, mc.samples, K.n)
-    sigma, prev = 1e-2, None
+    prev = None
     est = se = 0.0
     for _ in range(60):
-        diffs = project_rows(K, mu0 + sigma * H) - mu0
-        vals = row_sq_norms(diffs) / sigma**2
+        vals = row_sq_norms(project_rows(K, center + sigma * H) - center) / sigma**2
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(mc.samples))
         if prev is not None and abs(est - prev) <= 1e-3 * max(abs(est), 1e-3):
             break
         prev = est
-        sigma /= 2.0
+        sigma *= factor
     return est, se
 
 

@@ -18,12 +18,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, MonteCarloConfig
 from .errors import ConfigError, DomainError
-from .fixed_point import (
-    ORTHANT_CLOSED_FORM,
-    SUBSPACE_CLOSED_FORM,
-    FixedPointProblem,
-    solve,
-)
+from .fixed_point import FixedPointProblem, solve
 from .kernels import DiscretePrior
 from .linear_model import empirical_risk, generate_instance, solve_instance
 from .seeds import child_rng, child_seed
@@ -204,7 +199,10 @@ def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: i
     try:
         K = resolve_constraint(config.constraint, n)
         signal = resolve_signal(signal_spec, n)
-        sol = _solve_theory(config, K, signal, n, m, theory_seed)
+        sol = solve(FixedPointProblem(
+            constraint=K, signal=signal, m=m, n=n, sigma2=config.sigma**2,
+            err_evaluator=MonteCarloConfig(samples=config.samples, seed=theory_seed),
+        ))
         if isinstance(signal, DiscretePrior):
             emp_mean, emp_se = _empirical_risk_prior(
                 K, signal, m, n, config.sigma, config.replicates, emp_seed, config.solver
@@ -213,15 +211,19 @@ def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: i
             emp_mean, emp_se, _ = empirical_risk(
                 K, signal, m, n, config.sigma, config.replicates, emp_seed, config.solver
             )
+        # Only a converged root is reported; no_solution has no root at all.
+        converged = sol.status == "converged"
         ratio = None
-        if sol.r_sq is not None and sol.r_sq > 0 and emp_mean > 0:
+        if converged and sol.r_sq > 0 and emp_mean > 0:
             ratio = math.sqrt(sol.r_sq) / math.sqrt(emp_mean)
         return ExperimentRecord(
             experiment_id=experiment_id, n=n, m=m, sigma=config.sigma,
             constraint=config.constraint, signal=signal_spec,
-            r_theory_sq=sol.r_sq, r_theory_se=(sol.r_se if sol.r_sq is not None else None),
+            r_theory_sq=sol.r_sq if converged else None,
+            r_theory_se=sol.r_se if converged else None,
             risk_emp_mean=emp_mean, risk_emp_se=emp_se, ratio=ratio,
-            r2_statistic=sol.r2_statistic, regime=sol.regime,
+            r2_statistic=sol.r2_statistic if converged else None,
+            regime="unconverged" if sol.status == "max_iterations" else sol.regime,
             runtime_seconds=time.perf_counter() - start,
         )
     except Exception as exc:  # fail-soft per grid cell
@@ -232,20 +234,6 @@ def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: i
             risk_emp_se=None, ratio=None, r2_statistic=None,
             regime=f"error: {exc}", runtime_seconds=time.perf_counter() - start,
         )
-
-
-def _solve_theory(config, K, signal, n, m, seed):
-    if K.kind == "orthant":
-        evaluator, tol = ORTHANT_CLOSED_FORM, 1e-10
-    elif K.kind == "subspace":
-        evaluator, tol = SUBSPACE_CLOSED_FORM, 1e-10
-    else:
-        evaluator, tol = MonteCarloConfig(samples=config.samples, seed=seed), 1e-6
-    problem = FixedPointProblem(
-        constraint=K, signal=signal, m=m, n=n,
-        sigma2=config.sigma**2, err_evaluator=evaluator,
-    )
-    return solve(problem, tol=tol)
 
 
 def _empirical_risk_prior(K, prior, m, n, sigma, replicates, base_seed, solver_choice):

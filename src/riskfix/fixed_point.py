@@ -20,7 +20,7 @@ with a Monte Carlo standard error.
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -53,9 +53,11 @@ class FixedPointProblem:
     """One risk-prediction instance.
 
     ``signal`` is either an explicit vector in K or a ``DiscretePrior`` of
-    i.i.d. coordinates (orthant analytic path only).  ``err_evaluator`` is a
-    ``MonteCarloConfig`` for the generic Monte Carlo path, or one of the
-    closed-form tags ``"orthant_closed_form"`` / ``"subspace_closed_form"``.
+    i.i.d. coordinates (orthant only).  The orthant and the subspace always
+    run their closed forms; every other set runs Monte Carlo with the
+    ``MonteCarloConfig`` in ``err_evaluator``.  The tags
+    ``"orthant_closed_form"`` / ``"subspace_closed_form"`` are accepted in
+    its place for the matching constraint.
     """
 
     constraint: ConstraintSet
@@ -87,7 +89,7 @@ class FixedPointProblem:
         elif not isinstance(ev, MonteCarloConfig):
             raise DescriptorError("err_evaluator must be a MonteCarloConfig or closed-form tag")
         if isinstance(self.signal, DiscretePrior):
-            if ev != ORTHANT_CLOSED_FORM:
+            if self.constraint.kind != "orthant":
                 raise DescriptorError("prior signals run through the orthant analytic path only")
         else:
             mu0 = np.asarray(self.signal, dtype=float)
@@ -146,7 +148,7 @@ def classify_regime(m, delta_k, se_k, delta_t, se_t) -> str:
 
 def solve(
     problem: FixedPointProblem,
-    tol: float = 1e-6,
+    tol: float = None,
     max_iter: int = 200,
     r0_sq: float = 0.0,
 ) -> FixedPointSolution:
@@ -155,15 +157,18 @@ def solve(
     Existence is gated on ``m > delta_K`` with a 3-SE guard band around the
     Monte Carlo estimate of delta_K; within the band, or below it, the
     status is ``no_solution``.  Convergence criterion:
-    ``|r_{t+1} - r_t| / max(r_t, 1e-12) < tol``.
+    ``|r_{t+1} - r_t| / max(r_t, 1e-12) < tol``; ``tol=None`` takes 1e-10
+    on the closed forms and 1e-6 on Monte Carlo.
     """
     m, n = problem.m, problem.n
     sigma2 = problem.sigma2
     sigma = math.sqrt(sigma2)
-    ev = _Evaluator(problem)
+    path = _path(problem)
+    if tol is None:
+        tol = path.tol
 
-    delta_k, se_k = ev.delta_K()
-    delta_t, se_t = ev.delta_T()
+    delta_k, se_k = path.delta_K()
+    delta_t, se_t = path.delta_T()
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
     if m < 10.0 * l_n:
         warnings.warn(
@@ -193,7 +198,7 @@ def solve(
     prev_step = None
     for _ in range(max_iter):
         w = omega(r, delta, sigma)
-        err_mean, _ = ev.err(w)
+        err_mean, _ = path.err(w)
         r_new = math.sqrt(max(err_mean / n, 0.0))
         trace.append(r_new * r_new)
         done = _step_converged(r, r_new, prev_step, tol)
@@ -204,8 +209,7 @@ def solve(
             break
 
     w = omega(r, delta, sigma)
-    _, err_se = ev.err(w)
-    gap_mean, gap_se = ev.lrt_minus_err(w)
+    err_se, gap_mean, gap_se = path.final(w)
     scale = 2.0 * n * sigma2
     r2_stat = gap_mean / scale
     r2_se = gap_se / scale
@@ -225,9 +229,8 @@ def vanishing_risk_shortcut(problem: FixedPointProblem) -> float:
     Agrees with ``solve`` to first order whenever the risk vanishes; meant
     as a fast cross-check of the full iteration.
     """
-    ev = _Evaluator(problem)
     w = omega(0.0, problem.m / problem.n, math.sqrt(problem.sigma2))
-    err_mean, _ = ev.err(w)
+    err_mean, _ = _path(problem).err(w)
     return err_mean / problem.n
 
 
@@ -290,76 +293,56 @@ def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) ->
     return R2Check(statistic=stat, holds=bool(stat < 1.0))
 
 
-class _Evaluator:
-    """E err / E lrt evaluators for one problem, with CRN for the MC path."""
+class _Path(NamedTuple):
+    """How one problem evaluates E err: a closed form or Monte Carlo with CRN."""
 
-    def __init__(self, problem: FixedPointProblem):
-        self.problem = problem
-        self.K = problem.constraint
-        ev = problem.err_evaluator
-        self.kind = ev if isinstance(ev, str) else "monte_carlo"
-        if self.kind == "monte_carlo":
-            self.mc = ev
-            self.mu0 = np.asarray(problem.signal, dtype=float)
-            if not self.K.contains(self.mu0, tol=1e-8):
-                raise DomainError("signal must belong to the constraint set")
-            self.H = gaussian_rows(ev.seed, ev.samples, problem.n)
-        elif self.kind == ORTHANT_CLOSED_FORM:
-            self.mc = MonteCarloConfig()
-            if isinstance(problem.signal, DiscretePrior):
-                self.prior = problem.signal
-                self.mu0 = None
-            else:
-                self.prior = None
-                self.mu0 = np.asarray(problem.signal, dtype=float)
-                if np.any(self.mu0 < 0):
-                    raise DomainError("orthant signal must be non-negative")
-        else:
-            self.mc = MonteCarloConfig()
-            self.mu0 = np.asarray(problem.signal, dtype=float)
-            if not self.K.contains(self.mu0, tol=1e-8):
-                raise DomainError("signal must lie in the subspace")
+    err: Callable  # omega -> (E err, SE)
+    final: Callable  # omega -> (err SE, E(lrt - err), SE), once at the root
+    delta_K: Callable  # () -> (delta_K, SE)
+    delta_T: Callable  # () -> (delta_T, SE)
+    tol: float  # default step tolerance of ``solve``
 
-    def err(self, sigma_h: float):
-        if self.kind == SUBSPACE_CLOSED_FORM:
-            return sigma_h**2 * self.K.subspace_dim, 0.0
-        if self.kind == ORTHANT_CLOSED_FORM:
-            if self.prior is not None:
-                w = sigma_h
-                return self.problem.n * w * w * prior_G(self.prior, w), 0.0
-            return orthant_err_closed_form(self.mu0, sigma_h), 0.0
-        err, _, _ = process_rows(self.K, self.mu0, sigma_h, self.H)
-        return float(err.mean()), float(err.std(ddof=1) / math.sqrt(err.size))
 
-    def lrt_minus_err(self, sigma_h: float):
-        if self.kind == SUBSPACE_CLOSED_FORM:
-            return 0.0, 0.0
-        if self.kind == ORTHANT_CLOSED_FORM:
-            if self.prior is not None:
-                gap = 2.0 * self.problem.n * sigma_h**2 * prior_H(self.prior, sigma_h)
-            else:
-                gap = orthant_lrt_closed_form(self.mu0, sigma_h) - orthant_err_closed_form(
-                    self.mu0, sigma_h
-                )
-            return gap, 0.0
-        err, lrt, _ = process_rows(self.K, self.mu0, sigma_h, self.H)
-        diff = lrt - err
-        return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(diff.size))
+def _path(problem: FixedPointProblem) -> _Path:
+    """Closed forms for orthant and subspace, Monte Carlo for every other set."""
+    K, n, signal = problem.constraint, problem.n, problem.signal
+    if isinstance(signal, DiscretePrior):
+        return _Path(
+            err=lambda w: (n * w * w * prior_G(signal, w), 0.0),
+            final=lambda w: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0),
+            delta_K=lambda: (n / 2.0, 0.0),
+            delta_T=lambda: (n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
+            tol=1e-10,
+        )
+    mu0 = np.asarray(signal, dtype=float)
+    if not K.contains(mu0, tol=1e-8):
+        raise DomainError("signal must belong to the constraint set")
+    ev = problem.err_evaluator
+    mc = ev if isinstance(ev, MonteCarloConfig) else MonteCarloConfig()
+    dims = dict(delta_K=lambda: statistical_dimension(K, mc),
+                delta_T=lambda: tangent_dimension(K, mu0, mc))
+    if K.kind == "orthant":
+        return _Path(
+            err=lambda w: (orthant_err_closed_form(mu0, w), 0.0),
+            final=lambda w: (0.0, orthant_lrt_closed_form(mu0, w)
+                             - orthant_err_closed_form(mu0, w), 0.0),
+            tol=1e-10, **dims,
+        )
+    if K.kind == "subspace":
+        return _Path(err=lambda w: (w**2 * K.subspace_dim, 0.0),
+                     final=lambda w: (0.0, 0.0, 0.0), tol=1e-10, **dims)
 
-    def delta_K(self):
-        if self.kind == SUBSPACE_CLOSED_FORM:
-            return float(self.K.subspace_dim), 0.0
-        if self.kind == ORTHANT_CLOSED_FORM:
-            return self.problem.n / 2.0, 0.0
-        return statistical_dimension(self.K, self.mc)
+    H = gaussian_rows(mc.seed, mc.samples, n)
 
-    def delta_T(self):
-        if self.kind == SUBSPACE_CLOSED_FORM:
-            return float(self.K.subspace_dim), 0.0
-        if self.kind == ORTHANT_CLOSED_FORM:
-            n = self.problem.n
-            if self.prior is not None:
-                return n * (1.0 - self.prior.mass_at_zero / 2.0), 0.0
-            z = int(np.count_nonzero(np.abs(self.mu0) <= 1e-12))
-            return n - z / 2.0, 0.0
-        return tangent_dimension(self.K, self.mu0, self.mc)
+    def err(w):
+        return _mean_se(process_rows(K, mu0, w, H)[0])
+
+    def final(w):
+        e, lrt, _ = process_rows(K, mu0, w, H)
+        return (_mean_se(e)[1],) + _mean_se(lrt - e)
+
+    return _Path(err=err, final=final, tol=1e-6, **dims)
+
+
+def _mean_se(x: np.ndarray):
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))

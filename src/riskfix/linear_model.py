@@ -89,9 +89,9 @@ def amp_solve(
         r^{t+1}  = Y - X mu^{t+1} + (k_t / m) r^t
 
     with k_t the projection divergence at the pre-projection point, starting
-    from mu^0 = 0, r^0 = Y.  Declares divergence and falls back to
-    ``pgd_solve`` when the iterate norm exceeds 1e6 * (||mu0|| + sqrt(n) *
-    noise scale).
+    from mu^0 = 0, r^0 = Y.  Declares divergence and stops unconverged when
+    the iterate norm exceeds 1e6 * (||mu0|| + sqrt(n) * noise scale);
+    falling back to PGD is left to ``solve_instance``.
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
@@ -107,7 +107,8 @@ def amp_solve(
         mu_new = pr.point
         r = Y - X @ mu_new + (pr.divergence / m) * r
         if np.linalg.norm(mu_new) > blowup:
-            return pgd_solve(K, inst)
+            mu, iterations = mu_new, t + 1
+            break
         step = np.linalg.norm(mu_new - mu) / max(np.linalg.norm(mu), 1.0)
         mu = mu_new
         if step < tol:
@@ -173,9 +174,9 @@ def pgd_solve(
 def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = "auto") -> SolverResult:
     """Dispatch one instance to a solver.
 
-    ``auto`` runs AMP and falls back to PGD whenever AMP fails to converge
-    (on top of AMP's own blow-up fallback); ``amp`` and ``pgd`` force one
-    solver.
+    ``auto`` runs AMP and falls back to PGD whenever AMP fails to converge,
+    whether it blew up or ran out of iterations; ``amp`` and ``pgd`` force
+    one solver.
     """
     if solver_choice == "pgd":
         return pgd_solve(K, inst)

@@ -142,6 +142,17 @@ class TestRunExperiment:
         assert rec.r_theory_sq is None and rec.ratio is None
         assert rec.risk_emp_mean is not None
 
+    def test_unconverged_fixed_point_is_not_reported(self):
+        # just above delta_K = 25 the iteration contracts too slowly to reach
+        # the root (315.08) within the iteration cap
+        config = ExperimentConfig("unc", "orthant", ("constant:5",), ((50, 26),),
+                                  replicates=10, samples=100)
+        rec = run_quiet(config)[0]
+        assert rec.regime == "unconverged"
+        assert rec.r_theory_sq is None and rec.r_theory_se is None
+        assert rec.ratio is None and rec.r2_statistic is None
+        assert rec.risk_emp_mean is not None
+
     def test_prior_signal_cell(self):
         config = replace(TINY, name="prior", signals=("atoms=0:0.5,3:0.5",), grid=((12, 30),))
         rec = run_quiet(config)[0]

@@ -8,6 +8,7 @@ import pytest
 
 from riskfix.constraints import ConstraintSet, MonteCarloConfig
 from riskfix.errors import DescriptorError, DomainError, NoSolutionError
+from riskfix import fixed_point
 from riskfix.fixed_point import (
     FixedPointProblem,
     classify_regime,
@@ -18,6 +19,7 @@ from riskfix.fixed_point import (
     vanishing_risk_shortcut,
 )
 from riskfix.kernels import DiscretePrior
+from riskfix.sequence import process_rows
 
 HARMONIC_500 = sum(1.0 / i for i in range(1, 501))
 
@@ -172,6 +174,38 @@ class TestSolveMonteCarlo:
         # CRN makes the empirical map deterministic, so restart agreement is
         # governed by the solver tolerance alone
         assert abs(math.sqrt(again.r_sq) - math.sqrt(base.r_sq)) <= 5 * tol * math.sqrt(base.r_sq)
+
+
+class TestEvaluationPath:
+    def test_closed_form_chosen_from_constraint(self):
+        n = 50
+        orthant, subspace = ConstraintSet.orthant(n), ConstraintSet.coordinate_subspace(n, 10)
+        mc = MonteCarloConfig(samples=100, seed=3)
+        cases = [
+            (orthant, np.full(n, 5.0), 60, "orthant_closed_form"),
+            (orthant, DiscretePrior([(0.0, 0.3), (2.0, 0.7)]), 40, "orthant_closed_form"),
+            (subspace, np.r_[np.ones(10), np.zeros(n - 10)], 30, "subspace_closed_form"),
+        ]
+        for K, signal, m, tag in cases:
+            tagged = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, tag))
+            chosen = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, mc))
+            assert tagged.status == "converged"
+            assert chosen == tagged, K.kind
+
+    def test_one_monte_carlo_pass_per_iteration_and_root(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return process_rows(*args)
+
+        monkeypatch.setattr(fixed_point, "process_rows", counting)
+        n = 40
+        problem = FixedPointProblem(ConstraintSet.monotone_cone(n), np.zeros(n), 120, n, 1.0,
+                                    MonteCarloConfig(samples=500, seed=34))
+        sol = quiet_solve(problem)
+        assert sol.status == "converged"
+        assert len(calls) == (len(sol.trace) - 1) + 1
 
 
 class TestVanishingShortcut:

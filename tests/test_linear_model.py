@@ -15,6 +15,7 @@ from oracles import nnls_oracle
 from riskfix.constraints import ConstraintSet, project
 from riskfix.errors import DomainError
 from riskfix.fixed_point import nnls_solve
+from riskfix import linear_model
 from riskfix.kernels import DiscretePrior
 from riskfix.linear_model import (
     amp_solve,
@@ -22,6 +23,7 @@ from riskfix.linear_model import (
     generate_instance,
     pgd_solve,
     run_replicates,
+    solve_instance,
 )
 from riskfix.seeds import child_seed
 
@@ -149,16 +151,32 @@ class TestAmp:
                     agreements += 1
             assert agreements >= 10, f"too few converged {kind} instances to compare"
 
-    def test_divergence_fallback(self):
-        # undersampled strong signal: AMP blows up and PGD takes over
-        n, m = 50, 30
+    def test_divergence_fallback(self, monkeypatch):
+        # undersampled strong signal: AMP blows up, and only solve_instance
+        # under "auto" falls back to PGD
+        n, m = 50, 20
         K = ConstraintSet.orthant(n)
-        mu0 = np.full(n, 5.0)
-        inst = generate_instance(m, n, mu0, 1.0, seed=17)
-        res = amp_solve(K, inst)
-        assert res.solver in ("amp", "pgd")
+        inst = generate_instance(m, n, np.full(n, 5.0), 1.0, seed=child_seed(5, 0))
+        amp = amp_solve(K, inst)
+        assert amp.solver == "amp" and not amp.converged
+        assert amp.iterations < 100  # stopped by the blow-up test, not the cap
+
+        calls = []
+
+        def counting_pgd(*args, **kwargs):
+            calls.append(1)
+            return pgd_solve(*args, **kwargs)
+
+        monkeypatch.setattr(linear_model, "pgd_solve", counting_pgd)
+        res = solve_instance(K, inst, "auto")
+        assert res.solver == "pgd" and res.converged and len(calls) == 1
         gap = np.linalg.norm(project(K, res.mu_hat).point - res.mu_hat)
         assert gap <= 1e-8
+
+        forced = solve_instance(K, inst, "amp")
+        assert forced.solver == "amp" and not forced.converged
+        np.testing.assert_array_equal(forced.mu_hat, amp.mu_hat)
+        assert len(calls) == 1
 
 
 class TestResidualConsistency:
