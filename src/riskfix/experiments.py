@@ -3,8 +3,10 @@
 A config describes a constraint family, one or more signal presets, a grid
 of (n, m) sizes and Monte Carlo budgets.  Each grid cell solves the risk
 fixed point (theory), simulates the estimator across replicates
-(empirical), and emits one record; cells fail soft.  Reports serialize to
-CSV or JSON with identical field names and values.
+(empirical), and emits one record; a cell that meets a domain, config or
+IO error fails soft into an ``error:`` record, while programming errors
+propagate.  Reports serialize to CSV or JSON with identical field names and
+values.
 """
 
 import json
@@ -226,7 +228,7 @@ def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: i
             regime="unconverged" if sol.status == "max_iterations" else sol.regime,
             runtime_seconds=time.perf_counter() - start,
         )
-    except Exception as exc:  # fail-soft per grid cell
+    except (ValueError, ConfigError, OSError) as exc:  # fail-soft; bugs propagate
         return ExperimentRecord(
             experiment_id=experiment_id, n=n, m=m, sigma=config.sigma,
             constraint=config.constraint, signal=signal_spec,

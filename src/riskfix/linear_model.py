@@ -3,9 +3,10 @@
 ``Y = X mu0 + xi`` with i.i.d. N(0, 1/n) design entries.  The constrained
 least squares program is solved by an AMP iteration whose Onsager term uses
 the projection divergence (the isotonic piece count generalized to every
-supported constraint), with projected gradient descent as the reference
-solver and fallback.  Empirical risk aggregates independent replicates with
-per-replicate child seeds.
+supported constraint).  The reference solver and fallback is accelerated
+projected gradient (FISTA with gradient restart), stopped on the
+gradient-mapping (KKT) residual and returning its best iterate.  Empirical
+risk aggregates independent replicates with per-replicate child seeds.
 """
 
 import math
@@ -132,35 +133,52 @@ def pgd_solve(
     tol: float = 1e-10,
     max_iter: int = 50_000,
 ) -> SolverResult:
-    """Projected gradient descent on ||Y - X mu||^2 / (2m), fixed step 1/L.
+    """Accelerated projected gradient on ||Y - X mu||^2 / (2m), restarted.
 
-    The Lipschitz constant L = sigma_max(X)^2 / m is estimated by 100 power
-    iterations; stops when the relative objective decrease drops below
-    ``tol`` (or the objective reaches numerical zero).  Returns the best
-    iterate with ``converged = False`` if the cap is hit first.
+    FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 (100 power
+    iterations): ``x+ = Pi_K(y - s grad f(y))``, then ``y = x+ + beta (x+ - x)``,
+    restarted (momentum reset, ``y = x+``) whenever the gradient mapping
+    points along the last step, ``(y - x+) . (x+ - x) > 0`` (O'Donoghue &
+    Candes 2015).  ``X x`` is carried with ``x`` and ``X y`` formed by the
+    same combination, so an iteration costs two products with X or X^T.
+    Stops when the gradient mapping ``||y - x+|| / s`` (the KKT residual) is
+    at most ``tol * ||X^T Y|| / m``, or the objective reaches numerical zero.
+    Returns the best iterate, so the objective is nonincreasing in
+    ``max_iter``, with ``converged = False`` if the cap is hit first.
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
     smax_sq = _power_iteration_sq(X, inst.seed)
     step = m / (smax_sq + 1e-12)
-    mu = project(K, np.zeros(n)).point
-    resid = Y - X @ mu
-    f = float(resid @ resid) / (2.0 * m)
-    best_f, best_mu = f, mu
+    kkt_tol = tol * float(np.linalg.norm(X.T @ Y)) / m
+    x = y = best_mu = project(K, np.zeros(n)).point
+    Xx = Xy = X @ x
+    resid = Y - Xx
+    best_f = float(resid @ resid) / (2.0 * m)
+    t = 1.0
     converged = False
     iterations = max_iter
-    for t in range(max_iter):
-        grad = -(X.T @ resid) / m
-        mu = project(K, mu - step * grad).point
-        resid = Y - X @ mu
+    for k in range(max_iter):
+        x_new = project(K, y + (step / m) * (X.T @ (Y - Xy))).point
+        Xx_new = X @ x_new
+        resid = Y - Xx_new
         f_new = float(resid @ resid) / (2.0 * m)
         if f_new <= best_f:
-            best_f, best_mu = f_new, mu
-        if f - f_new < tol * max(f, _OBJECTIVE_FLOOR) or f_new < _OBJECTIVE_FLOOR:
+            best_f, best_mu = f_new, x_new
+        mapping = y - x_new
+        if np.linalg.norm(mapping) <= kkt_tol * step or f_new < _OBJECTIVE_FLOOR:
             converged = True
-            iterations = t + 1
+            iterations = k + 1
             break
-        f = f_new
+        if mapping @ (x_new - x) > 0.0:
+            t, y, Xy = 1.0, x_new, Xx_new
+        else:
+            t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * (x_new - x)
+            Xy = Xx_new + beta * (Xx_new - Xx)
+            t = t_new
+        x, Xx = x_new, Xx_new
     return SolverResult(
         mu_hat=best_mu,
         objective=2.0 * best_f,

@@ -2,10 +2,11 @@
 
 These deliberately avoid the code paths they certify: the monotone
 projection oracle enumerates active sets instead of pooling, the NNLS
-oracle enumerates supports, and the divergence oracle differentiates
-numerically.  The orthant fixed-point oracle integrates the projection
-error directly and solves the risk equation by bracketing, without the
-kernels G/H or the monotone iteration.
+oracle enumerates supports, the divergence oracle differentiates
+numerically, and the gradient mapping takes its step from an exact
+spectral norm instead of power iteration.  The orthant fixed-point oracle
+integrates the projection error directly and solves the risk equation by
+bracketing, without the kernels G/H or the monotone iteration.
 """
 
 import itertools
@@ -59,6 +60,22 @@ def nnls_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if obj < best_obj:
             best, best_obj = mu, obj
     return best
+
+
+def relative_gradient_mapping(
+    K: ConstraintSet, X: np.ndarray, Y: np.ndarray, mu: np.ndarray
+) -> float:
+    """KKT residual of ||Y - X mu||^2 / (2m) over K at mu, relative to the data.
+
+    The gradient mapping ||mu - Pi_K(mu - s grad f(mu))|| / s, with the exact
+    step s = m / ||X||_2^2 (a dense SVD, not power iteration), divided by
+    ||X^T Y|| / m.  It is zero exactly at the minimizers.
+    """
+    m = X.shape[0]
+    s = m / np.linalg.norm(X, 2) ** 2
+    grad = -(X.T @ (Y - X @ mu)) / m
+    mapping = np.linalg.norm(mu - project(K, mu - s * grad).point) / s
+    return float(mapping / (np.linalg.norm(X.T @ Y) / m))
 
 
 def fd_divergence(K: ConstraintSet, x: np.ndarray, eps: float = 1e-6) -> float:

@@ -164,6 +164,14 @@ class TestRunExperiment:
         assert rec.regime.startswith("error")
         assert rec.r_theory_sq is None
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(problem):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr("riskfix.experiments.solve", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            run_quiet(TINY)
+
 
 class TestReports:
     def _records(self):

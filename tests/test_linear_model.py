@@ -1,8 +1,10 @@
 """Design generation, AMP/PGD solvers, and empirical risk tests.
 
-Independent oracle for the orthant at n = 3 (tests/oracles.py): enumerate
-all support patterns, solve each restricted least squares, keep the
-feasible candidate with the smallest objective.
+Independent oracles for PGD (tests/oracles.py and scipy): at n = 3 on the
+orthant, enumerate all support patterns, solve each restricted least
+squares and keep the feasible candidate with the smallest objective; at
+n = 50, the exact active-set NNLS of ``scipy.optimize.nnls``; for every
+kind, the gradient mapping at the returned point.
 """
 
 import math
@@ -10,8 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from oracles import nnls_oracle
+from oracles import nnls_oracle, relative_gradient_mapping
 from riskfix.constraints import ConstraintSet, project
 from riskfix.errors import DomainError
 from riskfix.fixed_point import nnls_solve
@@ -54,6 +57,14 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(a.xi, b.xi)
 
 
+def figure2_left_m60(count):
+    """figure2-left instances at m = 60: orthant, n = 50, mu0 = 5, sigma = 1."""
+    return [
+        generate_instance(60, 50, np.full(50, 5.0), 1.0, seed=child_seed(1, i))
+        for i in range(count)
+    ]
+
+
 class TestPgd:
     def test_against_support_enumeration_oracle(self):
         rng = np.random.default_rng(7)
@@ -64,6 +75,46 @@ class TestPgd:
             res = pgd_solve(K, inst, tol=1e-15)
             oracle = nnls_oracle(inst.X, inst.Y)
             np.testing.assert_allclose(res.mu_hat, oracle, atol=1e-6)
+
+    def test_against_exact_nnls(self):
+        K = ConstraintSet.orthant(50)
+        for inst in figure2_left_m60(10):
+            exact, _ = nnls(inst.X, inst.Y)
+            res = pgd_solve(K, inst)
+            assert np.linalg.norm(res.mu_hat - exact) <= 1e-5
+
+    def test_converged_means_kkt_certified(self):
+        # converged must certify mu_hat itself, not the extrapolated point
+        linear = np.arange(1, 101) / 100  # on the boundary of the l1 ball
+        cases = [
+            (ConstraintSet.orthant(50), np.full(50, 5.0), 60),
+            (ConstraintSet.l1_ball(100, 50.5), linear, 60),
+            (ConstraintSet.monotone_cone(100), linear, 100),
+        ]
+        for base, (K, mu0, m) in enumerate(cases, start=1):
+            for i in range(15):
+                inst = generate_instance(m, mu0.size, mu0, 1.0, seed=child_seed(base, i))
+                res = pgd_solve(K, inst)
+                assert res.converged, (K.kind, i)
+                kkt = relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat)
+                assert kkt <= 1e-7, (K.kind, i, kkt)
+
+    def test_iteration_budget(self):
+        # the iteration counters are deterministic
+        K = ConstraintSet.orthant(50)
+        assert sum(pgd_solve(K, inst).iterations for inst in figure2_left_m60(10)) <= 7_000
+
+        K = ConstraintSet.l1_ball(100, 50.5)
+        mu0 = np.arange(1, 101) / 100
+        fallbacks = 0
+        for i in range(30):
+            inst = generate_instance(30, 100, mu0, 1.0, seed=child_seed(7, i))
+            if amp_solve(K, inst).converged:
+                continue
+            fallbacks += 1
+            res = pgd_solve(K, inst)
+            assert res.converged and res.iterations < 50_000, i
+        assert fallbacks > 0
 
     def test_objective_nonincreasing_in_budget(self):
         K = ConstraintSet.monotone_cone(10)
