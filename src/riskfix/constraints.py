@@ -118,7 +118,7 @@ class ConstraintSet:
 
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
         """Membership test up to tolerance ``tol * max(1, ||x||)``."""
-        x = _check_vector(self, x)
+        x = np.asarray(x, dtype=float)
         gap = np.linalg.norm(project(self, x).point - x)
         return gap <= tol * max(1.0, np.linalg.norm(x))
 
@@ -146,28 +146,31 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     soft-thresholding at the unique level mu > 0 with
     ``sum_i (|x_i| - mu)_+ = radius``.  Subspace: basis @ basis.T @ x.
 
-    Exact ties (inputs on the non-differentiability set) are dithered by a
-    deterministic 1e-12 perturbation before counting structure; the
-    returned point is always computed from the raw input.
+    Exact ties (inputs on the non-differentiability set: a zero coordinate,
+    equal neighbouring inputs or fitted block means, a coordinate at the l1
+    threshold, a point on the l1 sphere) are dithered by
+    ``1e-12 * cos(1..n)`` before counting structure; the returned point is
+    always computed from the raw input.  Shape and finiteness are checked on
+    every call.
     """
     x = _check_vector(K, x)
     if K.kind == "orthant":
         point = np.maximum(x, 0.0)
-        xc = _dithered(x) if np.any(x == 0.0) else x
-        structure = int(np.count_nonzero(xc > 0.0))
+        tied = np.count_nonzero(x) < x.size
+        structure = int(np.count_nonzero(_dithered(x) > 0.0 if tied else point))
         return ProjectionResult(point, float(structure), structure)
 
     if K.kind == "monotone_cone":
         res = isotonic_regression(x)
-        point = np.asarray(res.x)
-        pieces = _monotone_pieces(x, res)
+        point = res["x"]  # item access: OptimizeResult's attribute lookup is slow
+        pieces = _monotone_pieces(x, point, res["blocks"])
         return ProjectionResult(point, float(pieces), pieces)
 
     if K.kind == "l1_ball":
         return _project_l1(K, x)
 
     # subspace
-    d = K.subspace_dim
+    d = K.basis.shape[1]
     point = K.basis @ (K.basis.T @ x)
     return ProjectionResult(point, float(d), d)
 
@@ -181,7 +184,7 @@ def polar_project(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
     """Projection onto the polar cone: x - Pi_K(x) for cone kinds."""
     if not K.is_cone:
         raise UnsupportedKindError("polar projection needs a cone (not l1_ball)")
-    x = _check_vector(K, x)
+    x = np.asarray(x, dtype=float)
     return x - project(K, x).point
 
 
@@ -220,7 +223,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
     Closed forms: orthant gives n - z/2 with z the number of zero
     coordinates of mu0; a subspace is its own tangent cone.
     """
-    mu0 = _check_vector(K, mu0)
+    mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0, tol=1e-8):
         raise DomainError("mu0 must belong to K")
     if K.kind == "subspace":
@@ -269,23 +272,31 @@ def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
 def l1_threshold(x: np.ndarray, radius: float) -> float:
     """The unique mu > 0 with sum_i (|x_i| - mu)_+ = radius, for ||x||_1 > radius."""
     a = np.sort(np.abs(x))[::-1]
-    cs = np.cumsum(a)
-    k = np.arange(1, a.size + 1)
-    candidates = (cs - radius) / k
-    idx = int(np.max(np.nonzero(a > candidates)[0]))
-    return float(candidates[idx])
+    candidates = (a.cumsum() - radius) / np.arange(1.0, a.size + 1.0)
+    below = (a > candidates).nonzero()[0]
+    if below.size == 0:
+        raise DomainError("l1 radius is below the floating-point resolution of the input")
+    return float(candidates[below[-1]])
 
 
 def _project_l1(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
-    if np.abs(x).sum() <= K.radius:
+    a = np.abs(x)
+    total = a.sum()
+    if total == K.radius:
+        # On the sphere: the structure of the dithered input, the point x.
+        pr = _project_l1(K, _dithered(x))
+        return ProjectionResult(x.copy(), pr.divergence, pr.structure)
+    if total < K.radius:
         return ProjectionResult(x.copy(), float(K.n), int(np.count_nonzero(x)))
     mu = l1_threshold(x, K.radius)
-    point = np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
-    xc = x
-    if np.any(np.abs(np.abs(x) - mu) == 0.0):
+    gap = a - mu
+    kept = np.maximum(gap, 0.0)
+    point = np.sign(x) * kept
+    if np.count_nonzero(gap) < gap.size:
         xc = _dithered(x)
-        mu = l1_threshold(xc, K.radius)
-    support = int(np.count_nonzero(np.abs(xc) > mu))
+        support = int(np.count_nonzero(np.abs(xc) > l1_threshold(xc, K.radius)))
+    else:
+        support = int(np.count_nonzero(kept))
     return ProjectionResult(point, float(support - 1), support)
 
 
@@ -305,14 +316,14 @@ def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _monotone_pieces(x: np.ndarray, res) -> int:
-    means = res.x[res.blocks[:-1]]
+def _monotone_pieces(x: np.ndarray, fit: np.ndarray, blocks: np.ndarray) -> int:
+    means = fit[blocks[:-1]]
     # Exact ties in the input, or distinct blocks sharing a mean, sit on the
     # non-differentiability set of the piece count; recount after dithering.
-    if np.any(np.diff(x) == 0.0) or np.any(np.diff(means) == 0.0):
+    if np.count_nonzero(x[1:] == x[:-1]) or np.count_nonzero(means[1:] == means[:-1]):
         res = isotonic_regression(_dithered(x))
-        means = res.x[res.blocks[:-1]]
-    return int(np.count_nonzero(np.diff(means) > 0.0)) + 1
+        means = res["x"][res["blocks"][:-1]]
+    return int(np.count_nonzero(means[1:] > means[:-1])) + 1
 
 
 def _dithered(x: np.ndarray) -> np.ndarray:
@@ -326,8 +337,8 @@ def row_sq_norms(M: np.ndarray) -> np.ndarray:
 
 def _check_vector(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != K.n:
+    if x.shape != (K.n,):
         raise DomainError(f"expected a vector of length {K.n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if np.count_nonzero(np.isfinite(x)) < x.size:
         raise DomainError("input vector must be finite")
     return x

@@ -99,19 +99,22 @@ def amp_solve(
     noise_scale = float(np.linalg.norm(inst.xi) / math.sqrt(m))
     blowup = 1e6 * (np.linalg.norm(inst.mu0) + math.sqrt(n) * noise_scale)
     mu = np.zeros(n)
+    mu_norm = 0.0
     r = Y.copy()
     converged = False
     iterations = max_iter
+    # ||v|| as sqrt(v.dot(v)), np.linalg.norm's own formula without its dispatch
     for t in range(max_iter):
-        pre = (n / m) * (X.T @ r) + mu
-        pr = project(K, pre)
+        pr = project(K, (n / m) * (X.T @ r) + mu)
         mu_new = pr.point
         r = Y - X @ mu_new + (pr.divergence / m) * r
-        if np.linalg.norm(mu_new) > blowup:
+        new_norm = math.sqrt(mu_new.dot(mu_new))
+        if new_norm > blowup:
             mu, iterations = mu_new, t + 1
             break
-        step = np.linalg.norm(mu_new - mu) / max(np.linalg.norm(mu), 1.0)
-        mu = mu_new
+        move = mu_new - mu
+        step = math.sqrt(move.dot(move)) / max(mu_norm, 1.0)
+        mu, mu_norm = mu_new, new_norm
         if step < tol:
             converged = True
             iterations = t + 1
@@ -166,16 +169,17 @@ def pgd_solve(
         if f_new <= best_f:
             best_f, best_mu = f_new, x_new
         mapping = y - x_new
-        if np.linalg.norm(mapping) <= kkt_tol * step or f_new < _OBJECTIVE_FLOOR:
+        if math.sqrt(mapping.dot(mapping)) <= kkt_tol * step or f_new < _OBJECTIVE_FLOOR:
             converged = True
             iterations = k + 1
             break
-        if mapping @ (x_new - x) > 0.0:
+        move = x_new - x
+        if mapping @ move > 0.0:
             t, y, Xy = 1.0, x_new, Xx_new
         else:
             t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
             beta = (t - 1.0) / t_new
-            y = x_new + beta * (x_new - x)
+            y = x_new + beta * move
             Xy = Xx_new + beta * (Xx_new - Xx)
             t = t_new
         x, Xx = x_new, Xx_new
@@ -275,7 +279,7 @@ def _power_iteration_sq(X: np.ndarray, seed: int, steps: int = 100) -> float:
     v /= np.linalg.norm(v)
     for _ in range(steps):
         w = X.T @ (X @ v)
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             return 0.0
         v = w / norm

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the code paths they certify: the monotone
-projection oracle enumerates active sets instead of pooling, the NNLS
-oracle enumerates supports, the divergence oracle differentiates
+projection oracle enumerates active sets instead of pooling, the l1
+threshold oracle bisects instead of sorting, the NNLS oracle enumerates
+supports, the divergence oracle differentiates
 numerically, and the gradient mapping takes its step from an exact
 spectral norm instead of power iteration.  The orthant fixed-point oracle
 integrates the projection error directly and solves the risk equation by
@@ -107,6 +108,25 @@ def near_tie(K: ConstraintSet, x: np.ndarray, gap: float = 1e-6) -> bool:
         mu = l1_threshold(x, K.radius)
         return bool(np.any(np.abs(np.abs(x) - mu) < gap))
     return False
+
+
+def l1_threshold_oracle(x: np.ndarray, radius: float) -> float:
+    """The mu > 0 with sum_i (|x_i| - mu)_+ = radius, by bisection.
+
+    The left side falls continuously from ||x||_1 > radius at mu = 0 to 0 at
+    mu = max |x_i|, so halving that bracket until it stops shrinking finds
+    the root to the last bit or so, with no sorting or candidate search.
+    """
+    a = np.abs(np.asarray(x, dtype=float))
+    lo, hi = 0.0, float(a.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if np.maximum(a - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
 
 
 def orthant_fixed_point_oracle(mu0, m: int, sigma: float = 1.0):

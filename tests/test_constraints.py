@@ -2,13 +2,14 @@
 
 Independent oracles (tests/oracles.py): an exhaustive active-set quadratic
 program for the monotone-cone projection, central finite differences for
-the divergence, and the threshold equation for the l1 ball.
+the divergence, and the threshold equation for the l1 ball, solved by
+bisection.
 """
 
 import numpy as np
 import pytest
 
-from oracles import fd_divergence, monotone_projection_oracle, near_tie
+from oracles import fd_divergence, l1_threshold_oracle, monotone_projection_oracle, near_tie
 from riskfix.constraints import (
     ConstraintSet,
     MonteCarloConfig,
@@ -80,6 +81,155 @@ class TestDescriptors:
             project(K, np.array([1.0, np.nan, 0.0]))
         with pytest.raises(DomainError):
             project(K, np.array([1.0, 2.0]))  # wrong length
+
+
+def dither(x: np.ndarray) -> np.ndarray:
+    """The documented tie-breaking perturbation, written out: x + 1e-12 cos(1..n)."""
+    return x + 1e-12 * np.cos(np.arange(1, x.size + 1))
+
+
+def oracle_pieces(x: np.ndarray) -> int:
+    """Constant pieces of the exhaustive monotone projection of x."""
+    return 1 + int(np.count_nonzero(np.diff(monotone_projection_oracle(x)) > 0.0))
+
+
+def oracle_l1_structure(x: np.ndarray, radius: float):
+    """(divergence, structure) of the l1 projection at a point off every tie."""
+    if np.abs(x).sum() <= radius:
+        return float(x.size), int(np.count_nonzero(x))
+    support = int(np.count_nonzero(np.abs(x) > l1_threshold_oracle(x, radius)))
+    return float(support - 1), support
+
+
+class TestTieDither:
+    """Inputs exactly on a non-differentiability set count their structure at
+    the dithered input; the point always comes from the raw input.  Each case
+    is built so that the dithered count differs from a naive count at x."""
+
+    def test_orthant_exact_zeros(self):
+        # zeros at cos(1) > 0, cos(3) < 0, cos(5) > 0; -3e-13 at cos(6) = 0.96
+        # turns positive too, since the dither moves every coordinate.
+        x = np.array([0.0, 1.5, 0.0, -2.0, 0.0, -3e-13])
+        res = project(ConstraintSet.orthant(6), x)
+        assert np.array_equal(res.point, np.maximum(x, 0.0))
+        assert np.count_nonzero(x > 0.0) == 1
+        assert res.structure == np.count_nonzero(dither(x) > 0.0) == 4
+        assert res.divergence == 4.0
+
+    @pytest.mark.parametrize(
+        "x, pieces, naive",
+        [
+            # input tie x4 == x5 with cos(4) < cos(5): the dither splits it
+            ([0.0, 1.0, 2.0, 3.0, 3.0, 4.0], 6, 5),
+            # input tie x2 == x3 with cos(2) > cos(3): the dither pools it
+            ([0.0, 1.0, 1.0, 2.0], 3, 3),
+            # blocks (2, 0), (1), (1) share the mean 1 and pool into one
+            # block at x; the dither leaves three blocks
+            ([-10.0, -9.0, 2.0, 0.0, 1.0, 1.0], 5, 3),
+        ],
+    )
+    def test_monotone_ties(self, x, pieces, naive):
+        x = np.array(x)
+        res = project(ConstraintSet.monotone_cone(x.size), x)
+        np.testing.assert_allclose(res.point, monotone_projection_oracle(x), atol=1e-12)
+        assert oracle_pieces(x) == naive
+        assert res.structure == oracle_pieces(dither(x)) == pieces
+        assert res.divergence == float(pieces)
+
+    def test_l1_coordinate_at_threshold(self):
+        # sorted |x| = (4, 2, 1) with radius 4 gives mu = 1 = |x_1| exactly;
+        # cos(1) > 0 keeps the dithered x_1 above the dithered threshold.
+        x = np.array([1.0, 4.0, -2.0])
+        K = ConstraintSet.l1_ball(3, 4.0)
+        mu = l1_threshold_oracle(x, 4.0)
+        assert mu == pytest.approx(1.0, abs=1e-15)
+        res = project(K, x)
+        expected = np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
+        np.testing.assert_allclose(res.point, expected, atol=1e-14)
+        assert np.count_nonzero(np.abs(x) > 1.0) == 2
+        assert (res.divergence, res.structure) == oracle_l1_structure(dither(x), 4.0) == (2.0, 3)
+
+    @pytest.mark.parametrize(
+        "x, radius, expected",
+        [
+            # the dither leaves the ball: support 2, divergence 1
+            ([1.0, 1.0], 2.0, (1.0, 2)),
+            # the dither stays inside and makes the zero coordinate nonzero
+            ([-1.0, 1.0, 1.0, 0.0], 3.0, (4.0, 4)),
+        ],
+    )
+    def test_l1_on_the_sphere(self, x, radius, expected):
+        x = np.array(x)
+        assert np.abs(x).sum() == radius
+        res = project(ConstraintSet.l1_ball(x.size, radius), x)
+        assert np.array_equal(res.point, x)
+        assert (res.divergence, res.structure) == oracle_l1_structure(dither(x), radius) == expected
+
+
+def rejection_sets():
+    """Every kind, with the l1 ball both around and away from the base vector."""
+    return [
+        ConstraintSet.orthant(5),
+        ConstraintSet.monotone_cone(5),
+        ConstraintSet.l1_ball(5, 100.0),  # base vector inside
+        ConstraintSet.l1_ball(5, 0.5),  # base vector outside
+        ConstraintSet.coordinate_subspace(5, 2),
+    ]
+
+
+REJECTION_BASE = np.array([0.3, -1.2, 0.8, 2.0, -0.5])
+
+
+class TestRejection:
+    @pytest.mark.parametrize("K", rejection_sets(), ids=lambda K: f"{K.kind}-{K.radius}")
+    def test_non_finite_and_shape(self, K):
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in (0, -1):
+                x = REJECTION_BASE.copy()
+                x[pos] = bad
+                with pytest.raises(DomainError, match="input vector must be finite"):
+                    project(K, x)
+        for x in (REJECTION_BASE.reshape(1, -1), REJECTION_BASE[:4], np.r_[REJECTION_BASE, 1.0]):
+            with pytest.raises(DomainError, match="expected a vector of length 5"):
+                project(K, x)
+
+    @pytest.mark.parametrize("K", rejection_sets(), ids=lambda K: f"{K.kind}-{K.radius}")
+    def test_huge_finite_inputs_are_projected(self, K):
+        # squares overflow to inf; a finiteness test through them would reject
+        scale = 1e200
+        assert np.isinf(scale * scale)
+        if K.kind == "l1_ball":
+            big = ConstraintSet.l1_ball(5, K.radius * scale)
+        else:
+            big = K
+        res = project(big, scale * REJECTION_BASE)
+        small = project(K, REJECTION_BASE)
+        np.testing.assert_allclose(res.point, scale * small.point, rtol=1e-12, atol=1e-12 * scale)
+        assert (res.divergence, res.structure) == (small.divergence, small.structure)
+
+    def test_l1_radius_below_resolution(self):
+        # 1e200 - 1 rounds to 1e200: no candidate threshold lies below |x|
+        x = np.full(3, 1e200)
+        with pytest.raises(DomainError, match="resolution"):
+            project(ConstraintSet.l1_ball(3, 1.0), x)
+
+    def test_sum_overflow_is_accepted(self):
+        x = np.array([1.5e308, 1.5e308, -1.5e308])
+        with np.errstate(over="ignore"):
+            assert np.isinf(x[:2].sum())
+        res = project(ConstraintSet.orthant(3), x)
+        assert np.array_equal(res.point, np.maximum(x, 0.0)) and res.structure == 2
+
+    def test_callers_raise_the_projection_errors(self):
+        mc = MonteCarloConfig(samples=100)
+        for K in (ConstraintSet.orthant(5), ConstraintSet.monotone_cone(5)):
+            for x, message in ((np.full(5, np.nan), "finite"), (np.zeros(4), "length 5")):
+                with pytest.raises(DomainError, match=message):
+                    polar_project(K, x)
+                with pytest.raises(DomainError, match=message):
+                    K.contains(x)
+                with pytest.raises(DomainError, match=message):
+                    tangent_dimension(K, x, mc)
 
 
 class TestProjectExamples:

@@ -150,6 +150,42 @@ class TestPgd:
             assert gap <= 1e-8
 
 
+class TestProjectionCount:
+    """AMP projects once per iteration and PGD once more, before its loop.
+
+    perfbench's tracer reads solver iteration counts from these calls, so the
+    count must hold converged or capped, on every kind the solvers serve.
+    """
+
+    @pytest.mark.parametrize(
+        "K, m, mu0",
+        [
+            (ConstraintSet.orthant(50), 100, 5.0 * np.ones(50)),
+            (ConstraintSet.l1_ball(100, 50.0), 100, np.linspace(-1.0, 1.0, 100)),
+            (ConstraintSet.monotone_cone(100), 100, np.linspace(0.0, 2.0, 100)),
+        ],
+        ids=["orthant", "l1_ball", "monotone_cone"],
+    )
+    @pytest.mark.parametrize("max_iter", [None, 4], ids=["converged", "capped"])
+    def test_one_projection_per_iteration(self, monkeypatch, K, m, mu0, max_iter):
+        calls = []
+
+        def counting_project(K, x):
+            calls.append(1)
+            return project(K, x)
+
+        monkeypatch.setattr(linear_model, "project", counting_project)
+        inst = generate_instance(m, K.n, mu0, 1.0, seed=child_seed(40, 0))
+        budget = {} if max_iter is None else {"max_iter": max_iter}
+        for solve, extra in ((amp_solve, 0), (pgd_solve, 1)):
+            calls.clear()
+            res = solve(K, inst, **budget)
+            assert res.converged == (max_iter is None)
+            if max_iter is not None:
+                assert res.iterations == max_iter
+            assert len(calls) == res.iterations + extra
+
+
 class TestAmp:
     def test_full_subspace_matches_least_squares(self):
         n, m = 10, 200
