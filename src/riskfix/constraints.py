@@ -147,11 +147,11 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     ``sum_i (|x_i| - mu)_+ = radius``.  Subspace: basis @ basis.T @ x.
 
     Exact ties (inputs on the non-differentiability set: a zero coordinate,
-    equal neighbouring inputs or fitted block means, a coordinate at the l1
-    threshold, a point on the l1 sphere) are dithered by
-    ``1e-12 * cos(1..n)`` before counting structure; the returned point is
-    always computed from the raw input.  Shape and finiteness are checked on
-    every call.
+    equal neighbouring inputs, a coordinate at the l1 threshold, a point on
+    the l1 sphere) are dithered once by ``1e-12 * cos(1..n)`` before
+    counting structure; the returned point is always computed from the raw
+    input.  Monotone blocks that share a mean without an input tie are not
+    detected.  Shape and finiteness are checked on every call.
     """
     x = _check_vector(K, x)
     if K.kind == "orthant":
@@ -170,7 +170,7 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
         return _project_l1(K, x)
 
     # subspace
-    d = K.basis.shape[1]
+    d = K.subspace_dim
     point = K.basis @ (K.basis.T @ x)
     return ProjectionResult(point, float(d), d)
 
@@ -283,9 +283,14 @@ def _project_l1(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     a = np.abs(x)
     total = a.sum()
     if total == K.radius:
-        # On the sphere: the structure of the dithered input, the point x.
-        pr = _project_l1(K, _dithered(x))
-        return ProjectionResult(x.copy(), pr.divergence, pr.structure)
+        # On the sphere: the point x, the structure of the dithered input,
+        # counted once.  A dither lost to rounding leaves xc == x inside.
+        xc = _dithered(x)
+        ac = np.abs(xc)
+        if ac.sum() <= K.radius:
+            return ProjectionResult(x.copy(), float(K.n), int(np.count_nonzero(xc)))
+        support = int(np.count_nonzero(ac > l1_threshold(xc, K.radius)))
+        return ProjectionResult(x.copy(), float(support - 1), support)
     if total < K.radius:
         return ProjectionResult(x.copy(), float(K.n), int(np.count_nonzero(x)))
     mu = l1_threshold(x, K.radius)

@@ -25,6 +25,15 @@ class TestExitCodes:
         assert "projection: 0.0 2.0" in out
         assert "divergence: 1.0" in out
 
+    def test_project_l1_sphere_at_large_scale(self, tmp_path, capsys):
+        # on the sphere, with a dither below the input's resolution
+        path = tmp_path / "x.txt"
+        path.write_text("100000 100000\n")
+        assert run(["project", "--constraint", "l1_ball:200000", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "projection: 100000.0 100000.0" in out
+        assert "divergence: 2.0" in out and "structure: 2" in out
+
     def test_domain_error_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("nan 1.0\n")

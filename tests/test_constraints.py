@@ -123,8 +123,9 @@ class TestTieDither:
             ([0.0, 1.0, 2.0, 3.0, 3.0, 4.0], 6, 5),
             # input tie x2 == x3 with cos(2) > cos(3): the dither pools it
             ([0.0, 1.0, 1.0, 2.0], 3, 3),
-            # blocks (2, 0), (1), (1) share the mean 1 and pool into one
-            # block at x; the dither leaves three blocks
+            # input tie x5 == x6 (it sends the count to the dither): blocks
+            # (2, 0), (1), (1) pool into one block of mean 1 at x; the dither
+            # leaves three blocks
             ([-10.0, -9.0, 2.0, 0.0, 1.0, 1.0], 5, 3),
         ],
     )
@@ -164,6 +165,15 @@ class TestTieDither:
         res = project(ConstraintSet.l1_ball(x.size, radius), x)
         assert np.array_equal(res.point, x)
         assert (res.divergence, res.structure) == oracle_l1_structure(dither(x), radius) == expected
+
+    def test_l1_on_the_sphere_below_dither_resolution(self):
+        # 1e5 + 1e-12*cos(i) rounds back to 1e5: the dithered input is x
+        # itself, still on the sphere, and counts as inside the ball
+        x = np.array([1e5, 1e5])
+        assert np.array_equal(dither(x), x)
+        res = project(ConstraintSet.l1_ball(2, 2e5), x)
+        assert np.array_equal(res.point, x)
+        assert (res.divergence, res.structure) == (2.0, 2)
 
 
 def rejection_sets():
