@@ -42,7 +42,6 @@ from .fixed_point import (
     nnls_solve,
     omega,
     solve,
-    vanishing_risk_shortcut,
 )
 from .kernels import (
     DiscretePrior,
@@ -52,7 +51,6 @@ from .kernels import (
     normal_pdf,
     prior_G,
     prior_H,
-    psi_sparse,
 )
 from .linear_model import (
     DesignInstance,

@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True,
                    help="preset, file:path, or prior spec atoms=v1:w1,v2:w2")
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None,
+                   help="step tolerance (default: 1e-10 on closed forms, 1e-6 on Monte Carlo)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_fixed_point)
 

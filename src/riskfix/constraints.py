@@ -189,29 +189,26 @@ def polar_project(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
 
 
 def statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
-    """Statistical dimension delta_K with a Monte Carlo standard error.
+    """Statistical dimension delta_K, the high-noise limit of E err(s)/s^2, with SE.
 
-    For cones, delta_K = E ||Pi_K(h)||^2 by homogeneity and is estimated at
-    noise level 1; orthant (n/2) and subspace (d) use closed forms with zero
-    standard error.  For the l1 ball the defining high-noise limit is chased
-    by doubling sigma from 1 until the estimate stops moving (relative
-    change below 1e-3, with an absolute floor of 1e-3 because the limit is 0
-    for any bounded set).
+    Per kind: orthant n/2 and subspace d in closed form; the l1 ball 0,
+    since a bounded set's recession cone is {0}; the monotone cone by Monte
+    Carlo (``mc_statistical_dimension``).  Closed forms have zero standard
+    error.
     """
     if K.kind == "orthant":
         return K.n / 2.0, 0.0
     if K.kind == "subspace":
         return float(K.subspace_dim), 0.0
-    if K.kind == "monotone_cone":
-        return mc_statistical_dimension(K, mc)
+    if K.kind == "l1_ball":
+        return 0.0, 0.0
+    return mc_statistical_dimension(K, mc)
 
-    return _noise_limit(K, 0.0, mc, 1.0, 2.0)
 
-
-def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig, sigma: float = 1.0):
-    """Plain Monte Carlo estimate of E ||Pi_K(sigma h)||^2 / sigma^2."""
+def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
+    """Plain Monte Carlo estimate of E ||Pi_K(h)||^2, the dimension of a cone K."""
     H = gaussian_rows(mc.seed, mc.samples, K.n)
-    vals = row_sq_norms(project_rows(K, sigma * H)) / sigma**2
+    vals = row_sq_norms(project_rows(K, H))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(mc.samples))
 
 
@@ -219,9 +216,10 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
     """Statistical dimension of the tangent cone of K at mu0, with SE.
 
     Estimated through the low-noise limit E err(s)/s^2 with s halving from
-    1e-2 until the estimate stabilizes (relative change below 1e-3).
-    Closed forms: orthant gives n - z/2 with z the number of zero
-    coordinates of mu0; a subspace is its own tangent cone.
+    1e-2 until the estimate moves by less than 1e-3 relative (absolute
+    floor 1e-3); at most 60 steps.  Closed forms: orthant gives n - z/2
+    with z the number of zero coordinates of mu0; a subspace is its own
+    tangent cone.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0, tol=1e-8):
@@ -231,26 +229,17 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
     if K.kind == "orthant":
         z = int(np.count_nonzero(np.abs(mu0) <= 1e-12))
         return K.n - z / 2.0, 0.0
-    return _noise_limit(K, mu0, mc, 1e-2, 0.5)
-
-
-def _noise_limit(K: ConstraintSet, center, mc: MonteCarloConfig, sigma: float, factor: float):
-    """Limit of E ||Pi_K(center + s h) - center||^2 / s^2 as s steps by ``factor``.
-
-    Starts at ``s = sigma`` and stops once the estimate moves by less than
-    1e-3 relative (absolute floor 1e-3); at most 60 steps.
-    """
     H = gaussian_rows(mc.seed, mc.samples, K.n)
+    s = 1e-2
     prev = None
-    est = se = 0.0
     for _ in range(60):
-        vals = row_sq_norms(project_rows(K, center + sigma * H) - center) / sigma**2
+        vals = row_sq_norms(project_rows(K, mu0 + s * H) - mu0) / s**2
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(mc.samples))
         if prev is not None and abs(est - prev) <= 1e-3 * max(abs(est), 1e-3):
             break
         prev = est
-        sigma *= factor
+        s *= 0.5
     return est, se
 
 

@@ -192,46 +192,24 @@ def solve(
         )
 
     delta = m / n
-    r = math.sqrt(max(r0_sq, 0.0))
-    trace = [r * r]
-    status = "max_iterations"
-    prev_step = None
-    for _ in range(max_iter):
-        w = omega(r, delta, sigma)
-        err_mean, _ = path.err(w)
-        r_new = math.sqrt(max(err_mean / n, 0.0))
-        trace.append(r_new * r_new)
-        done = _step_converged(r, r_new, prev_step, tol)
-        prev_step = abs(r_new - r)
-        r = r_new
-        if done:
-            status = "converged"
-            break
-
+    r, trace, converged = _iterate(
+        lambda r: math.sqrt(max(path.err(omega(r, delta, sigma))[0] / n, 0.0)),
+        math.sqrt(max(r0_sq, 0.0)), tol, max_iter,
+    )
     w = omega(r, delta, sigma)
     err_se, gap_mean, gap_se = path.final(w)
     scale = 2.0 * n * sigma2
     r2_stat = gap_mean / scale
     r2_se = gap_se / scale
     return FixedPointSolution(
-        r_sq=r * r, omega=w, trace=trace, status=status,
+        r_sq=r * r, omega=w, trace=trace,
+        status="converged" if converged else "max_iterations",
         delta_K=delta_k, delta_K_se=se_k, delta_T=delta_t, delta_T_se=se_t,
         regime=regime, r2_statistic=r2_stat, r2_se=r2_se,
         r2_holds=bool(r2_stat < 1.0),
         r2_verified=bool(r2_stat + 3.0 * r2_se < 1.0),
         L_n=l_n, bounds=bounds, r_se=err_se / n,
     )
-
-
-def vanishing_risk_shortcut(problem: FixedPointProblem) -> float:
-    """Single evaluation at r = 0: rbar^2 = E err(omega_{m/n}(0)) / n.
-
-    Agrees with ``solve`` to first order whenever the risk vanishes; meant
-    as a fast cross-check of the full iteration.
-    """
-    w = omega(0.0, problem.m / problem.n, math.sqrt(problem.sigma2))
-    err_mean, _ = _path(problem).err(w)
-    return err_mean / problem.n
 
 
 def nnls_solve(
@@ -250,19 +228,31 @@ def nnls_solve(
         raise NoSolutionError("NNLS fixed point needs m/n > 1/2")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
-    r = 0.0
+
+    def step(r):
+        w = omega(r, ratio, sigma)
+        return math.sqrt(w * w * prior_G(prior, w))
+
+    r, _, converged = _iterate(step, 0.0, tol, max_iter)
+    if not converged:
+        warnings.warn("nnls_solve hit the iteration cap before the step tolerance",
+                      RuntimeWarning, stacklevel=2)
+    return r
+
+
+def _iterate(step: Callable, r: float, tol: float, max_iter: int):
+    """Monotone iteration ``r <- step(r)`` from r: (last r, r^2 trace, converged)."""
+    trace = [r * r]
     prev_step = None
     for _ in range(max_iter):
-        w = omega(r, ratio, sigma)
-        r_new = math.sqrt(w * w * prior_G(prior, w))
+        r_new = step(r)
+        trace.append(r_new * r_new)
         done = _step_converged(r, r_new, prev_step, tol)
         prev_step = abs(r_new - r)
         r = r_new
         if done:
-            return r
-    warnings.warn("nnls_solve hit the iteration cap before the step tolerance",
-                  RuntimeWarning, stacklevel=2)
-    return r
+            return r, trace, True
+    return r, trace, False
 
 
 def _step_converged(r: float, r_new: float, prev_step, tol: float) -> bool:

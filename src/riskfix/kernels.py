@@ -7,8 +7,7 @@ The two kernels
 
 give the exact sequence-model expectations for the positive orthant:
 ``E err(s) = s^2 * sum_i G(mu_i/s)`` and ``E lrt = E err + 2 s^2 * sum_i
-H(mu_i/s)``.  ``psi_sparse`` is the dimension function of the sparse
-l1-descent cone.  All functions accept scalars or arrays.
+H(mu_i/s)``.  All functions accept scalars or arrays.
 """
 
 import math
@@ -129,53 +128,6 @@ def prior_H(prior: DiscretePrior, omega: float) -> float:
     if omega <= 0:
         raise DomainError("omega must be positive")
     return float(np.dot(prior.weights, kernel_H(prior.values / omega)))
-
-
-def truncated_square_moment(gamma):
-    """E (|Z| - gamma)_+^2 for Z ~ N(0,1), in closed form.
-
-    Equals ``2 [(1 + gamma^2) Phi(-gamma) - gamma phi(gamma)]``.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    out = 2.0 * ((1.0 + gamma * gamma) * ndtr(-gamma) - gamma * _phi(gamma))
-    out = np.maximum(out, 0.0)
-    return out if out.ndim else float(out)
-
-
-def psi_sparse(rho: float) -> float:
-    """Sparse-cone dimension function.
-
-    psi(rho) = inf_{gamma >= 0} { rho (1 + gamma^2)
-                                  + (1 - rho) E (|N(0,1)| - gamma)_+^2 },
-    minimized by golden section over gamma in [0, 20] (the expectation is
-    below 1e-80 past 20, so the optimum is interior).
-    """
-    if not 0.0 < rho <= 1.0:
-        raise DomainError("rho must lie in (0, 1]")
-
-    def objective(gamma: float) -> float:
-        return rho * (1.0 + gamma * gamma) + (1.0 - rho) * truncated_square_moment(gamma)
-
-    return _golden_section(objective, 0.0, 20.0, tol=1e-10)
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimum value of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
 
 
 def _phi(x):

@@ -52,10 +52,9 @@ def generate_instance(
     n: int,
     mu0,
     sigma: float,
-    noise_kind: str = "gaussian",
     seed: int = 0,
 ) -> DesignInstance:
-    """Draw X ~ N(0, 1/n) entries and noise of variance sigma^2."""
+    """Draw X ~ N(0, 1/n) entries and N(0, sigma^2) noise."""
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
     if not sigma > 0:
@@ -65,12 +64,7 @@ def generate_instance(
         raise DomainError(f"mu0 must be a vector of length {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = rng.standard_normal((m, n)) / math.sqrt(n)
-    if noise_kind == "gaussian":
-        xi = sigma * rng.standard_normal(m)
-    elif noise_kind == "rademacher":
-        xi = sigma * (2.0 * rng.integers(0, 2, size=m) - 1.0)
-    else:
-        raise DomainError(f"unknown noise kind {noise_kind!r}")
+    xi = sigma * rng.standard_normal(m)
     Y = X @ mu0 + xi
     return DesignInstance(X=X, xi=xi, Y=Y, mu0=mu0, seed=seed)
 
@@ -217,13 +211,12 @@ def run_replicates(
     replicates: int,
     base_seed: int = 0,
     solver_choice: str = "auto",
-    noise_kind: str = "gaussian",
 ):
     """Independent instances with child seeds; list of SolverResult in order."""
     mu0 = np.asarray(mu0, dtype=float)
     results = []
     for i in range(replicates):
-        inst = generate_instance(m, n, mu0, sigma, noise_kind, seed=child_seed(base_seed, i))
+        inst = generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, i))
         results.append(solve_instance(K, inst, solver_choice))
     return results
 

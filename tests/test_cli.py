@@ -5,6 +5,9 @@ import json
 import pytest
 
 from riskfix.cli import main
+from riskfix.constraints import MonteCarloConfig
+from riskfix.experiments import resolve_constraint, resolve_signal
+from riskfix.fixed_point import FixedPointProblem, solve
 
 
 @pytest.fixture()
@@ -91,6 +94,19 @@ class TestSubcommands:
         assert payload["status"] == "converged"
         assert payload["r_sq"] == pytest.approx(25.0 / 75.0, rel=1e-5)
         assert payload["regime"] == "I"
+
+    @pytest.mark.parametrize("constraint, signal, samples", [
+        ("orthant", "constant:5", 10_000),
+        ("monotone_cone", "linear", 500),
+    ])
+    def test_fixed_point_default_tol_is_solve_default(self, capsys, constraint, signal, samples):
+        n, m = 50, 100
+        assert run(["fixed-point", "--constraint", constraint, "--n", str(n), "--m", str(m),
+                    "--signal", signal, "--samples", str(samples), "--seed", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        problem = FixedPointProblem(resolve_constraint(constraint, n), resolve_signal(signal, n),
+                                    m, n, 1.0, MonteCarloConfig(samples=samples, seed=3))
+        assert payload["r_sq"] == solve(problem).r_sq
 
     def test_fixed_point_prior_signal(self, capsys):
         assert run(["fixed-point", "--constraint", "orthant", "--n", "50", "--m", "100",

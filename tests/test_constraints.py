@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_divergence, l1_threshold_oracle, monotone_projection_oracle, near_tie
+from riskfix import constraints
 from riskfix.constraints import (
     ConstraintSet,
     MonteCarloConfig,
@@ -409,10 +410,14 @@ class TestDimensions:
         est, se = mc_statistical_dimension(K, MonteCarloConfig(10_000, 43))
         assert abs(est - 25.0) <= 3.0 * se
 
-    def test_l1_ball_dimension_vanishes(self):
-        # bounded set: E ||Pi(sigma h)||^2 / sigma^2 -> 0
-        est, _ = statistical_dimension(ConstraintSet.l1_ball(20, 1.0), MonteCarloConfig(500, 44))
-        assert est < 0.05
+    def test_l1_ball_dimension_vanishes(self, monkeypatch):
+        # bounded set: E ||Pi(sigma h)||^2 / sigma^2 -> 0 exactly, no sampling
+        def no_rows(*args):
+            raise AssertionError("project_rows called")
+
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
+        K = ConstraintSet.l1_ball(20, 1.0)
+        assert statistical_dimension(K, MonteCarloConfig(500, 44)) == (0.0, 0.0)
 
     def test_tangent_orthant_zero(self):
         K = ConstraintSet.orthant(10)

@@ -91,6 +91,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"name": "t"})
 
+    def test_rejection_names_the_floors(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(name="t", constraint="orthant", signals=("zero",),
+                             grid=((5, 5),), replicates=5)
+        assert str(exc.value) == ("config needs sigma > 0, replicates >= 10, "
+                                  "samples >= 100 and jobs >= 1")
+
     def test_load_config_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"name": "x",}')

@@ -16,12 +16,9 @@ from riskfix.fixed_point import (
     nnls_solve,
     omega,
     solve,
-    vanishing_risk_shortcut,
 )
 from riskfix.kernels import DiscretePrior
 from riskfix.sequence import process_rows
-
-HARMONIC_500 = sum(1.0 / i for i in range(1, 501))
 
 
 def quiet_solve(problem, **kw):
@@ -116,6 +113,12 @@ class TestSolveClosedForms:
         assert trace[0] == 0.0
         assert np.all(np.diff(trace) >= -1e-14)
 
+    def test_iteration_cap(self):
+        sol = quiet_solve(orthant_problem(u=5.0, m=60), max_iter=3)
+        assert sol.status == "max_iterations"
+        assert len(sol.trace) == 4
+        assert sol.r_sq == sol.trace[-1]
+
     def test_restart_uniqueness(self):
         tol = 1e-10
         base = quiet_solve(orthant_problem(u=5.0, m=60), tol=tol)
@@ -208,33 +211,6 @@ class TestEvaluationPath:
         assert len(calls) == (len(sol.trace) - 1) + 1
 
 
-class TestVanishingShortcut:
-    def test_subspace_overdetermined(self):
-        problem = subspace_problem(d=10, n=100, m=1000)
-        rbar = vanishing_risk_shortcut(problem)
-        assert rbar == pytest.approx(0.01, rel=1e-12)
-        sol = quiet_solve(problem, tol=1e-12)
-        assert abs(rbar - sol.r_sq) / sol.r_sq <= 0.02
-
-    def test_monotone_zero_signal(self):
-        n = 500
-        K = ConstraintSet.monotone_cone(n)
-        problem = FixedPointProblem(
-            K, np.zeros(n), n, n, 1.0, MonteCarloConfig(samples=2000, seed=33)
-        )
-        rbar = vanishing_risk_shortcut(problem)
-        target = HARMONIC_500 / 500.0
-        # Monte Carlo standard error of E err(1)/n at 2000 samples
-        assert abs(rbar - target) <= 4.0 * math.sqrt(2 * HARMONIC_500 / 2000) / 500 + 0.002
-
-    def test_orthant_large_m(self):
-        problem = orthant_problem(u=0.0, n=50, m=5000)
-        rbar = vanishing_risk_shortcut(problem)
-        assert rbar == pytest.approx(0.005, rel=1e-12)
-        exact = 25.0 / 4975.0
-        assert abs(rbar - exact) / exact <= 0.01
-
-
 class TestNnls:
     def test_zero_point_mass(self):
         r = nnls_solve(DiscretePrior.point_mass(0.0), 0.8, 1.0)
@@ -275,6 +251,11 @@ class TestNnls:
             near_boundary = nnls_solve(prior, 0.51, 1.0)
         assert near_boundary**2 > 50.0
         assert values[-1] ** 2 < 0.3
+
+    def test_iteration_cap_warns(self):
+        prior = DiscretePrior([(0.0, 0.3), (2.0, 0.7)])
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            nnls_solve(prior, 0.51, 1.0, max_iter=5)
 
 
 class TestNnlsR2:

@@ -2,11 +2,8 @@
 
 Frozen reference values were produced by independent oracles:
 high-precision evaluation of the Gaussian cdf/pdf with mpmath at 40
-digits (see _mpmath_oracle below for regeneration), and brute-force grid
-minimization for the sparse-dimension function.
+digits (see _mpmath_oracle below for regeneration).
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -20,8 +17,6 @@ from riskfix.kernels import (
     normal_pdf,
     prior_G,
     prior_H,
-    psi_sparse,
-    truncated_square_moment,
 )
 
 
@@ -44,7 +39,6 @@ CDF_TABLE = [
 
 G_AT_1 = 0.7580292754808566  # mpmath oracle
 H_AT_5 = 2.6730827669164075e-07  # mpmath oracle
-TRUNC2_AT_07 = 0.2838961769112918  # mpmath quadrature of 2*int_g^inf (z-g)^2 phi(z) dz
 
 
 class TestNormalCdf:
@@ -162,48 +156,3 @@ class TestDiscretePrior:
             prior_G(prior, 0.0)
         with pytest.raises(DomainError):
             prior_H(prior, -1.0)
-
-
-def _psi_grid_oracle(rho: float, points: int = 400_001) -> float:
-    """Brute-force grid minimization over gamma (independent of psi_sparse)."""
-    gam = np.linspace(0.0, 20.0, points)
-    vals = rho * (1.0 + gam * gam) + (1.0 - rho) * truncated_square_moment(gam)
-    return float(vals.min())
-
-
-class TestPsiSparse:
-    def test_trivial_at_one(self):
-        assert psi_sparse(1.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_domain(self):
-        for rho in (0.0, -0.5, 1.5):
-            with pytest.raises(DomainError):
-                psi_sparse(rho)
-
-    def test_truncated_moment_against_quadrature(self):
-        assert truncated_square_moment(0.7) == pytest.approx(TRUNC2_AT_07, abs=1e-14)
-
-    def test_matches_grid_oracle(self):
-        for rho in (0.005, 0.05, 0.3, 0.9):
-            oracle = _psi_grid_oracle(rho)
-            assert psi_sparse(rho) == pytest.approx(oracle, abs=5e-9)
-            # golden section can only improve on the grid minimum
-            assert psi_sparse(rho) <= oracle + 1e-12
-
-    def test_nondecreasing_in_rho(self):
-        rhos = np.linspace(0.02, 1.0, 50)
-        vals = [psi_sparse(float(r)) for r in rhos]
-        assert np.all(np.diff(vals) >= -1e-12)
-
-    def test_sparse_dimension_bracket(self):
-        # s-sparse vectors in dimension n: both n*psi(s/n) and
-        # 2 s log(n/s) + 5s/4 upper-bound the descent-cone dimension, and the
-        # lower bracket n*(psi - 2/sqrt(sn)) must sit below the other upper
-        # bound.  At (s, n) = (5, 1000) the psi-based bound is the tighter
-        # one (grid oracle: n*psi = 35.424...).
-        s, n = 5, 1000
-        n_psi = n * psi_sparse(s / n)
-        assert n_psi == pytest.approx(35.4241301195908, abs=1e-5)
-        loose = 2.0 * s * math.log(n / s) + 1.25 * s
-        assert n_psi <= loose
-        assert n * (psi_sparse(s / n) - 2.0 / math.sqrt(s * n)) <= loose
