@@ -157,7 +157,7 @@ def cmd_risk_curve(args) -> None:
     else:
         mu0 = resolve_signal(args.mu0_preset, args.n)
     grid = np.geomspace(args.sigma_min, args.sigma_max, args.grid)
-    curve = mc_expectations(K, mu0, grid, samples=args.samples, base_seed=_seed_of(args))
+    curve = mc_expectations(K, mu0, grid, MonteCarloConfig(args.samples, _seed_of(args)))
     lines = ["sigma,err_mean,err_se,lrt_mean,lrt_se,dof_mean,dof_se"]
     for j in range(grid.size):
         cells = (curve.sigma_grid[j], curve.err_mean[j], curve.err_se[j],
@@ -169,9 +169,9 @@ def cmd_risk_curve(args) -> None:
 def cmd_fixed_point(args) -> None:
     K = resolve_constraint(args.constraint, args.n)
     signal = resolve_signal(args.signal, args.n)
-    evaluator = MonteCarloConfig(samples=args.samples, seed=_seed_of(args))
+    mc = MonteCarloConfig(samples=args.samples, seed=_seed_of(args))
     problem = FixedPointProblem(constraint=K, signal=signal, m=args.m, n=args.n,
-                                sigma2=args.sigma**2, err_evaluator=evaluator)
+                                sigma2=args.sigma**2, mc=mc)
     sol = solve(problem, tol=args.tol)
     if args.json:
         payload = {

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .errors import DescriptorError, DomainError, UnsupportedKindError
-from .seeds import gaussian_rows
+from .seeds import gaussian_rows, mean_se
 
 KINDS = ("orthant", "monotone_cone", "l1_ball", "subspace")
 CONE_KINDS = ("orthant", "monotone_cone", "subspace")
@@ -207,9 +207,10 @@ def statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
 
 def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
     """Plain Monte Carlo estimate of E ||Pi_K(h)||^2, the dimension of a cone K."""
+    if not K.is_cone:
+        raise UnsupportedKindError("Monte Carlo statistical dimension needs a cone (not l1_ball)")
     H = gaussian_rows(mc.seed, mc.samples, K.n)
-    vals = row_sq_norms(project_rows(K, H))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(mc.samples))
+    return mean_se(row_sq_norms(project_rows(K, H)))
 
 
 def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
@@ -233,9 +234,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
     s = 1e-2
     prev = None
     for _ in range(60):
-        vals = row_sq_norms(project_rows(K, mu0 + s * H) - mu0) / s**2
-        est = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(mc.samples))
+        est, se = mean_se(row_sq_norms(project_rows(K, mu0 + s * H) - mu0) / s**2)
         if prev is not None and abs(est - prev) <= 1e-3 * max(abs(est), 1e-3):
             break
         prev = est
@@ -312,9 +311,10 @@ def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
 
 def _monotone_pieces(x: np.ndarray, fit: np.ndarray, blocks: np.ndarray) -> int:
     means = fit[blocks[:-1]]
-    # Exact ties in the input, or distinct blocks sharing a mean, sit on the
-    # non-differentiability set of the piece count; recount after dithering.
-    if np.count_nonzero(x[1:] == x[:-1]) or np.count_nonzero(means[1:] == means[:-1]):
+    # Exact input ties sit on the non-differentiability set of the piece
+    # count; recount after dithering.  scipy's PAVA pools neighbouring blocks
+    # of equal mean, so the means never tie (blocks sharing one go unseen).
+    if np.count_nonzero(x[1:] == x[:-1]):
         res = isotonic_regression(_dithered(x))
         means = res["x"][res["blocks"][:-1]]
     return int(np.count_nonzero(means[1:] > means[:-1])) + 1

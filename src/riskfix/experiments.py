@@ -23,7 +23,7 @@ from .errors import ConfigError, DomainError
 from .fixed_point import FixedPointProblem, solve
 from .kernels import DiscretePrior
 from .linear_model import empirical_risk, generate_instance, solve_instance
-from .seeds import child_rng, child_seed
+from .seeds import child_rng, child_seed, mean_se
 
 CSV_COLUMNS = (
     "experiment_id", "n", "m", "sigma", "constraint", "signal",
@@ -203,7 +203,7 @@ def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: i
         signal = resolve_signal(signal_spec, n)
         sol = solve(FixedPointProblem(
             constraint=K, signal=signal, m=m, n=n, sigma2=config.sigma**2,
-            err_evaluator=MonteCarloConfig(samples=config.samples, seed=theory_seed),
+            mc=MonteCarloConfig(samples=config.samples, seed=theory_seed),
         ))
         if isinstance(signal, DiscretePrior):
             emp_mean, emp_se = _empirical_risk_prior(
@@ -245,7 +245,7 @@ def _empirical_risk_prior(K, prior, m, n, sigma, replicates, base_seed, solver_c
         mu0 = child_rng(base_seed, 2 * i + 1).choice(prior.values, size=n, p=prior.weights)
         inst = generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, 2 * i))
         risks[i] = solve_instance(K, inst, solver_choice).risk
-    return float(risks.mean()), float(risks.std(ddof=1) / math.sqrt(replicates))
+    return mean_se(risks)
 
 
 def get_preset(name: str, full: bool = False) -> ExperimentConfig:

@@ -19,7 +19,7 @@ with a Monte Carlo standard error.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -33,12 +33,9 @@ from .constraints import (
 from .errors import DescriptorError, DomainError, NoSolutionError
 from .kernels import DiscretePrior, prior_G, prior_H
 from .sequence import orthant_err_closed_form, orthant_lrt_closed_form, process_rows
-from .seeds import gaussian_rows
+from .seeds import gaussian_rows, mean_se
 
 SignalSpec = Union[np.ndarray, DiscretePrior]
-
-ORTHANT_CLOSED_FORM = "orthant_closed_form"
-SUBSPACE_CLOSED_FORM = "subspace_closed_form"
 
 
 def omega(r: float, delta: float, sigma: float) -> float:
@@ -53,11 +50,10 @@ class FixedPointProblem:
     """One risk-prediction instance.
 
     ``signal`` is either an explicit vector in K or a ``DiscretePrior`` of
-    i.i.d. coordinates (orthant only).  The orthant and the subspace always
-    run their closed forms; every other set runs Monte Carlo with the
-    ``MonteCarloConfig`` in ``err_evaluator``.  The tags
-    ``"orthant_closed_form"`` / ``"subspace_closed_form"`` are accepted in
-    its place for the matching constraint.
+    i.i.d. coordinates (orthant only).  ``mc`` is the Monte Carlo budget:
+    the orthant and the subspace run their closed forms and leave it
+    unused; every other set draws its E err, delta_K and delta_T estimates
+    from it.
     """
 
     constraint: ConstraintSet
@@ -65,7 +61,7 @@ class FixedPointProblem:
     m: int
     n: int
     sigma2: float
-    err_evaluator: Union[MonteCarloConfig, str] = field(default_factory=MonteCarloConfig)
+    mc: MonteCarloConfig = MonteCarloConfig()
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
@@ -76,18 +72,8 @@ class FixedPointProblem:
             raise DomainError("noise variance sigma2 must be positive")
         if self.constraint.n != self.n:
             raise DescriptorError("constraint dimension does not match n")
-        ev = self.err_evaluator
-        if isinstance(ev, str):
-            if ev == ORTHANT_CLOSED_FORM:
-                if self.constraint.kind != "orthant":
-                    raise DescriptorError("orthant_closed_form needs an orthant constraint")
-            elif ev == SUBSPACE_CLOSED_FORM:
-                if self.constraint.kind != "subspace":
-                    raise DescriptorError("subspace_closed_form needs a subspace constraint")
-            else:
-                raise DescriptorError(f"unknown err evaluator {ev!r}")
-        elif not isinstance(ev, MonteCarloConfig):
-            raise DescriptorError("err_evaluator must be a MonteCarloConfig or closed-form tag")
+        if not isinstance(self.mc, MonteCarloConfig):
+            raise DescriptorError("mc must be a MonteCarloConfig")
         if isinstance(self.signal, DiscretePrior):
             if self.constraint.kind != "orthant":
                 raise DescriptorError("prior signals run through the orthant analytic path only")
@@ -167,8 +153,8 @@ def solve(
     if tol is None:
         tol = path.tol
 
-    delta_k, se_k = path.delta_K()
-    delta_t, se_t = path.delta_T()
+    delta_k, se_k = statistical_dimension(problem.constraint, problem.mc)
+    delta_t, se_t = path.delta_T
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
     if m < 10.0 * l_n:
         warnings.warn(
@@ -288,51 +274,42 @@ class _Path(NamedTuple):
 
     err: Callable  # omega -> (E err, SE)
     final: Callable  # omega -> (err SE, E(lrt - err), SE), once at the root
-    delta_K: Callable  # () -> (delta_K, SE)
-    delta_T: Callable  # () -> (delta_T, SE)
+    delta_T: tuple  # (delta_T, SE)
     tol: float  # default step tolerance of ``solve``
 
 
 def _path(problem: FixedPointProblem) -> _Path:
     """Closed forms for orthant and subspace, Monte Carlo for every other set."""
-    K, n, signal = problem.constraint, problem.n, problem.signal
+    K, n, signal, mc = problem.constraint, problem.n, problem.signal, problem.mc
     if isinstance(signal, DiscretePrior):
         return _Path(
             err=lambda w: (n * w * w * prior_G(signal, w), 0.0),
             final=lambda w: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0),
-            delta_K=lambda: (n / 2.0, 0.0),
-            delta_T=lambda: (n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
+            delta_T=(n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
             tol=1e-10,
         )
     mu0 = np.asarray(signal, dtype=float)
     if not K.contains(mu0, tol=1e-8):
         raise DomainError("signal must belong to the constraint set")
-    ev = problem.err_evaluator
-    mc = ev if isinstance(ev, MonteCarloConfig) else MonteCarloConfig()
-    dims = dict(delta_K=lambda: statistical_dimension(K, mc),
-                delta_T=lambda: tangent_dimension(K, mu0, mc))
+    delta_t = tangent_dimension(K, mu0, mc)
     if K.kind == "orthant":
         return _Path(
             err=lambda w: (orthant_err_closed_form(mu0, w), 0.0),
             final=lambda w: (0.0, orthant_lrt_closed_form(mu0, w)
                              - orthant_err_closed_form(mu0, w), 0.0),
-            tol=1e-10, **dims,
+            delta_T=delta_t, tol=1e-10,
         )
     if K.kind == "subspace":
         return _Path(err=lambda w: (w**2 * K.subspace_dim, 0.0),
-                     final=lambda w: (0.0, 0.0, 0.0), tol=1e-10, **dims)
+                     final=lambda w: (0.0, 0.0, 0.0), delta_T=delta_t, tol=1e-10)
 
     H = gaussian_rows(mc.seed, mc.samples, n)
 
     def err(w):
-        return _mean_se(process_rows(K, mu0, w, H)[0])
+        return mean_se(process_rows(K, mu0, w, H)[0])
 
     def final(w):
         e, lrt, _ = process_rows(K, mu0, w, H)
-        return (_mean_se(e)[1],) + _mean_se(lrt - e)
+        return (mean_se(e)[1],) + mean_se(lrt - e)
 
-    return _Path(err=err, final=final, tol=1e-6, **dims)
-
-
-def _mean_se(x: np.ndarray):
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+    return _Path(err=err, final=final, delta_T=delta_t, tol=1e-6)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, project
 from .errors import DomainError
-from .seeds import child_rng, child_seed
+from .seeds import child_rng, child_seed, mean_se
 
 # Objectives below this are numerical zero (interpolation regime); relative
 # decrease is meaningless there.
@@ -242,8 +242,7 @@ def empirical_risk(
         raise DomainError("empirical_risk needs at least 10 replicates")
     results = run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)
     risks = np.array([res.risk for res in results])
-    mean = float(risks.mean())
-    se = float(risks.std(ddof=1) / math.sqrt(replicates))
+    mean, se = mean_se(risks)
     if solver_choice in ("amp", "auto"):
         flagged = []
         for i in range(0, replicates, 20):

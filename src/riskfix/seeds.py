@@ -1,9 +1,10 @@
-"""Deterministic seeding helpers.
+"""Deterministic seeding helpers and the Monte Carlo mean/SE reduction.
 
 Every Monte Carlo routine derives the generator for replicate ``i`` from
 ``(base_seed, i)`` through ``numpy.random.SeedSequence``, so results do not
 depend on how replicates are scheduled, and accumulation in fixed index
-order makes runs bit-reproducible for a given seed.
+order makes runs bit-reproducible for a given seed.  Every Monte Carlo
+average is reported through ``mean_se``.
 """
 
 import numpy as np
@@ -27,3 +28,8 @@ def gaussian_rows(base_seed: int, rows: int, cols: int) -> np.ndarray:
     for i in range(rows):
         out[i] = child_rng(base_seed, i).standard_normal(cols)
     return out
+
+
+def mean_se(x: np.ndarray):
+    """Sample mean and its standard error std(ddof=1) / sqrt(size), as floats."""
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))

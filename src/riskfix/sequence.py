@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, project, project_rows, row_sq_norms
+from .constraints import ConstraintSet, MonteCarloConfig, project, project_rows, row_sq_norms
 from .errors import DomainError
 from .kernels import kernel_G, kernel_H
-from .seeds import gaussian_rows
+from .seeds import gaussian_rows, mean_se
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class RiskCurve:
     """Monte Carlo means and standard errors over an increasing sigma grid.
 
     All grid points share the identical set of h draws (common random
-    numbers seeded from ``base_seed``).
+    numbers): ``mc.samples`` rows drawn from ``mc.seed``.
     """
 
     sigma_grid: np.ndarray
@@ -47,8 +47,7 @@ class RiskCurve:
     lrt_se: np.ndarray
     dof_mean: np.ndarray
     dof_se: np.ndarray
-    samples: int
-    base_seed: int
+    mc: MonteCarloConfig
 
 
 def eval_processes(K: ConstraintSet, mu0, sigma: float, h) -> ProcessSample:
@@ -82,32 +81,28 @@ def mc_expectations(
     K: ConstraintSet,
     mu0,
     sigma_grid,
-    samples: int = 2000,
-    base_seed: int = 0,
+    mc: MonteCarloConfig = MonteCarloConfig(samples=2000),
 ) -> RiskCurve:
-    """Monte Carlo E err / E lrt / E dof over ``sigma_grid`` with CRN."""
+    """Monte Carlo E err / E lrt / E dof over ``sigma_grid``, all from ``mc``'s draws (CRN)."""
     mu0 = np.asarray(mu0, dtype=float)
     sigma_grid = np.asarray(sigma_grid, dtype=float)
-    if samples < 100:
-        raise DomainError("mc_expectations needs at least 100 samples")
     if sigma_grid.ndim != 1 or sigma_grid.size == 0:
         raise DomainError("sigma grid must be a non-empty 1-d array")
     if np.any(sigma_grid <= 0) or np.any(np.diff(sigma_grid) <= 0):
         raise DomainError("sigma grid must be positive and strictly increasing")
     _check_inputs(K, mu0, float(sigma_grid[0]))
 
-    H = gaussian_rows(base_seed, samples, K.n)
+    H = gaussian_rows(mc.seed, mc.samples, K.n)
     shape = sigma_grid.shape
     em, es = np.empty(shape), np.empty(shape)
     lm, ls = np.empty(shape), np.empty(shape)
     dm, ds = np.empty(shape), np.empty(shape)
-    root = np.sqrt(samples)
     for j, sigma in enumerate(sigma_grid):
         err, lrt, dof = process_rows(K, mu0, float(sigma), H)
-        em[j], es[j] = err.mean(), err.std(ddof=1) / root
-        lm[j], ls[j] = lrt.mean(), lrt.std(ddof=1) / root
-        dm[j], ds[j] = dof.mean(), dof.std(ddof=1) / root
-    return RiskCurve(sigma_grid, em, es, lm, ls, dm, ds, samples, base_seed)
+        em[j], es[j] = mean_se(err)
+        lm[j], ls[j] = mean_se(lrt)
+        dm[j], ds[j] = mean_se(dof)
+    return RiskCurve(sigma_grid, em, es, lm, ls, dm, ds, mc)
 
 
 def orthant_err_closed_form(mu0, sigma: float) -> float:

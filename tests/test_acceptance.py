@@ -89,7 +89,7 @@ def figure2_right_records():
 
 def test_criterion_01_subspace_closed_form():
     K = ConstraintSet.coordinate_subspace(100, 10)
-    problem = FixedPointProblem(K, np.zeros(100), 40, 100, 1.0, "subspace_closed_form")
+    problem = FixedPointProblem(K, np.zeros(100), 40, 100, 1.0)
     sol = quiet_solve(problem, tol=1e-12)
     err = abs(sol.r_sq - 1.0 / 3.0)
     report(1, sol.status == "converged" and err < 1e-8,
@@ -100,7 +100,7 @@ def test_criterion_02_nnls_zero_signal():
     target = 5.0 / 3.0
     r_analytic = nnls_solve(DiscretePrior.point_mass(0.0), 0.8, 1.0) ** 2
     K = ConstraintSet.orthant(50)
-    problem = FixedPointProblem(K, np.zeros(50), 40, 50, 1.0, "orthant_closed_form")
+    problem = FixedPointProblem(K, np.zeros(50), 40, 50, 1.0)
     r_generic = quiet_solve(problem, tol=1e-10).r_sq
     ok = (abs(r_analytic - target) < 1e-8
           and abs(r_generic - target) < 1e-8
@@ -212,7 +212,7 @@ def test_criterion_06_nnls_oversampled_regime():
 
 def test_criterion_07_regime_three_gate():
     K = ConstraintSet.orthant(50)
-    problem = FixedPointProblem(K, np.zeros(50), 20, 50, 1.0, "orthant_closed_form")
+    problem = FixedPointProblem(K, np.zeros(50), 20, 50, 1.0)
     sol = quiet_solve(problem)
     ok = sol.status == "no_solution" and sol.regime == "III" and sol.r_sq is None
     report(7, ok, f"orthant n=50, m=20: status={sol.status}, regime={sol.regime}")
@@ -373,15 +373,12 @@ def test_criterion_11_solver_structure():
     tol = 1e-10
     K_sub = ConstraintSet.coordinate_subspace(100, 10)
     cases = [
-        FixedPointProblem(K_sub, np.zeros(100), 40, 100, 1.0, "subspace_closed_form"),
-        FixedPointProblem(ConstraintSet.orthant(50), np.zeros(50), 40, 50, 1.0,
-                          "orthant_closed_form"),
-        FixedPointProblem(ConstraintSet.orthant(50), np.full(50, 5.0), 60, 50, 1.0,
-                          "orthant_closed_form"),
-        FixedPointProblem(ConstraintSet.orthant(50), np.full(50, 5.0), 400, 50, 1.0,
-                          "orthant_closed_form"),
+        FixedPointProblem(K_sub, np.zeros(100), 40, 100, 1.0),
+        FixedPointProblem(ConstraintSet.orthant(50), np.zeros(50), 40, 50, 1.0),
+        FixedPointProblem(ConstraintSet.orthant(50), np.full(50, 5.0), 60, 50, 1.0),
+        FixedPointProblem(ConstraintSet.orthant(50), np.full(50, 5.0), 400, 50, 1.0),
         FixedPointProblem(ConstraintSet.orthant(50), DiscretePrior.point_mass(5.0),
-                          2500, 50, 1.0, "orthant_closed_form"),
+                          2500, 50, 1.0),
         FixedPointProblem(ConstraintSet.monotone_cone(100), np.zeros(100), 100, 100, 1.0,
                           MonteCarloConfig(samples=4000, seed=404)),
         FixedPointProblem(ConstraintSet.monotone_cone(100),

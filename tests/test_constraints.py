@@ -8,6 +8,7 @@ bisection.
 
 import numpy as np
 import pytest
+from scipy.optimize import isotonic_regression
 
 from oracles import fd_divergence, l1_threshold_oracle, monotone_projection_oracle, near_tie
 from riskfix import constraints
@@ -137,6 +138,19 @@ class TestTieDither:
         assert oracle_pieces(x) == naive
         assert res.structure == oracle_pieces(dither(x)) == pieces
         assert res.divergence == float(pieces)
+
+    def test_pava_block_means_strictly_increase(self):
+        # The monotone cone tests only input ties for the dither: it relies on
+        # scipy's PAVA pooling neighbouring blocks of equal mean, including
+        # the blocks (2, 0) and (3, -1) of the first input.
+        rng = np.random.default_rng(61)
+        inputs = [np.array([-10.0, -9.0, 2.0, 0.0, 3.0, -1.0])]
+        inputs += [rng.integers(-3, 4, size=int(rng.integers(2, 9))).astype(float)
+                   for _ in range(3000)]
+        for x in inputs:
+            res = isotonic_regression(x)
+            means = res.x[res.blocks[:-1]]
+            assert np.all(means[1:] > means[:-1]), x
 
     def test_l1_coordinate_at_threshold(self):
         # sorted |x| = (4, 2, 1) with radius 4 gives mu = 1 = |x_1| exactly;
@@ -418,6 +432,11 @@ class TestDimensions:
         monkeypatch.setattr(constraints, "project_rows", no_rows)
         K = ConstraintSet.l1_ball(20, 1.0)
         assert statistical_dimension(K, MonteCarloConfig(500, 44)) == (0.0, 0.0)
+
+    def test_mc_statistical_dimension_needs_a_cone(self):
+        # E ||Pi_K(h)||^2 is delta_K only for a cone; the l1 ball's is 0
+        with pytest.raises(UnsupportedKindError):
+            mc_statistical_dimension(ConstraintSet.l1_ball(20, 1.0), MonteCarloConfig(2000, 0))
 
     def test_tangent_orthant_zero(self):
         K = ConstraintSet.orthant(10)

@@ -29,12 +29,12 @@ def quiet_solve(problem, **kw):
 
 def subspace_problem(d=10, n=100, m=40, sigma2=1.0):
     K = ConstraintSet.coordinate_subspace(n, d)
-    return FixedPointProblem(K, np.zeros(n), m, n, sigma2, "subspace_closed_form")
+    return FixedPointProblem(K, np.zeros(n), m, n, sigma2)
 
 
 def orthant_problem(u=0.0, n=50, m=40, sigma2=1.0):
     K = ConstraintSet.orthant(n)
-    return FixedPointProblem(K, np.full(n, float(u)), m, n, sigma2, "orthant_closed_form")
+    return FixedPointProblem(K, np.full(n, float(u)), m, n, sigma2)
 
 
 class TestOmega:
@@ -54,31 +54,31 @@ class TestProblemValidation:
     def test_dimension_mismatch(self):
         K = ConstraintSet.orthant(5)
         with pytest.raises(DescriptorError):
-            FixedPointProblem(K, np.zeros(5), 10, 6, 1.0, "orthant_closed_form")
+            FixedPointProblem(K, np.zeros(5), 10, 6, 1.0)
 
     def test_evaluator_constraint_pairing(self):
         K = ConstraintSet.monotone_cone(5)
         with pytest.raises(DescriptorError):
-            FixedPointProblem(K, np.zeros(5), 10, 5, 1.0, "orthant_closed_form")
-        with pytest.raises(DescriptorError):
             FixedPointProblem(K, DiscretePrior.point_mass(1.0), 10, 5, 1.0, MonteCarloConfig(100, 0))
+        K = ConstraintSet.orthant(5)
+        with pytest.raises(DescriptorError):  # a budget is a MonteCarloConfig, never a tag
+            FixedPointProblem(K, np.zeros(5), 10, 5, 1.0, "orthant_closed_form")
 
     def test_bad_numbers(self):
         K = ConstraintSet.orthant(5)
         with pytest.raises(DomainError):
-            FixedPointProblem(K, np.zeros(5), 0, 5, 1.0, "orthant_closed_form")
+            FixedPointProblem(K, np.zeros(5), 0, 5, 1.0)
         with pytest.raises(DomainError):
-            FixedPointProblem(K, np.zeros(5), 10, 5, 0.0, "orthant_closed_form")
+            FixedPointProblem(K, np.zeros(5), 10, 5, 0.0)
 
     def test_signal_membership_enforced(self):
         K = ConstraintSet.coordinate_subspace(6, 2)
         off_subspace = np.ones(6)
         with pytest.raises(DomainError):
-            quiet_solve(FixedPointProblem(K, off_subspace, 20, 6, 1.0, "subspace_closed_form"))
+            quiet_solve(FixedPointProblem(K, off_subspace, 20, 6, 1.0))
         K = ConstraintSet.orthant(4)
         with pytest.raises(DomainError):
-            quiet_solve(FixedPointProblem(K, np.array([1.0, -1.0, 0.0, 0.0]), 20, 4, 1.0,
-                                          "orthant_closed_form"))
+            quiet_solve(FixedPointProblem(K, np.array([1.0, -1.0, 0.0, 0.0]), 20, 4, 1.0))
 
 
 class TestSolveClosedForms:
@@ -185,15 +185,15 @@ class TestEvaluationPath:
         orthant, subspace = ConstraintSet.orthant(n), ConstraintSet.coordinate_subspace(n, 10)
         mc = MonteCarloConfig(samples=100, seed=3)
         cases = [
-            (orthant, np.full(n, 5.0), 60, "orthant_closed_form"),
-            (orthant, DiscretePrior([(0.0, 0.3), (2.0, 0.7)]), 40, "orthant_closed_form"),
-            (subspace, np.r_[np.ones(10), np.zeros(n - 10)], 30, "subspace_closed_form"),
+            (orthant, np.full(n, 5.0), 60),
+            (orthant, DiscretePrior([(0.0, 0.3), (2.0, 0.7)]), 40),
+            (subspace, np.r_[np.ones(10), np.zeros(n - 10)], 30),
         ]
-        for K, signal, m, tag in cases:
-            tagged = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, tag))
+        for K, signal, m in cases:
+            default = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0))
             chosen = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, mc))
-            assert tagged.status == "converged"
-            assert chosen == tagged, K.kind
+            assert default.status == "converged"
+            assert chosen == default, K.kind
 
     def test_one_monte_carlo_pass_per_iteration_and_root(self, monkeypatch):
         calls = []

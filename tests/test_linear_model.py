@@ -8,6 +8,7 @@ kind, the gradient mapping at the returned point.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from riskfix.fixed_point import nnls_solve
 from riskfix import linear_model
 from riskfix.kernels import DiscretePrior
 from riskfix.linear_model import (
+    SolverResult,
     amp_solve,
     empirical_risk,
     generate_instance,
@@ -261,6 +263,19 @@ class TestAmp:
         np.testing.assert_array_equal(forced.mu_hat, amp.mu_hat)
         assert len(calls) == 1
 
+    def test_forced_pgd_skips_amp(self, monkeypatch):
+        def no_amp(*args, **kwargs):
+            raise AssertionError("amp_solve called")
+
+        K = ConstraintSet.orthant(20)
+        inst = generate_instance(40, 20, np.linspace(0.0, 2.0, 20), 1.0, seed=child_seed(6, 0))
+        expected = pgd_solve(K, inst)
+        monkeypatch.setattr(linear_model, "amp_solve", no_amp)
+        res = solve_instance(K, inst, "pgd")
+        assert res.solver == "pgd" and res.iterations == expected.iterations
+        assert res.objective == expected.objective and res.risk == expected.risk
+        np.testing.assert_array_equal(res.mu_hat, expected.mu_hat)
+
 
 class TestResidualConsistency:
     def test_oversampled_residual_estimates_variance(self):
@@ -305,6 +320,23 @@ class TestEmpiricalRisk:
         target = 5.0 / 3.0
         assert abs(np.median(per) - target) / target <= 0.15
         assert abs(mean - target) / target <= 0.30
+
+    def test_audit_warns_on_a_lower_pgd_objective(self, monkeypatch):
+        # The audit reruns PGD on replicates 0, 20, 40, ... that AMP solved
+        # and converged; a reference objective below AMP's flags them.
+        args = (ConstraintSet.orthant(20), np.full(20, 2.0), 60, 20, 1.0)
+        amp_results = run_replicates(*args, 41, 23, "amp")
+        audited = [i for i in (0, 20, 40)
+                   if amp_results[i].solver == "amp" and amp_results[i].converged]
+        assert audited
+
+        def lower_pgd(K, inst):
+            return SolverResult(mu_hat=inst.mu0, objective=0.0, iterations=1,
+                                solver="pgd", converged=True, risk=0.0)
+
+        monkeypatch.setattr(linear_model, "pgd_solve", lower_pgd)
+        with pytest.warns(RuntimeWarning, match=rf"on replicates {re.escape(str(audited))}$"):
+            empirical_risk(*args, replicates=41, base_seed=23, solver_choice="amp")
 
     def test_replicate_floor(self):
         with pytest.raises(DomainError):

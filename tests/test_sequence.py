@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from riskfix.constraints import ConstraintSet
+from riskfix.constraints import ConstraintSet, MonteCarloConfig
 from riskfix.errors import DomainError
 from riskfix.kernels import kernel_G, kernel_H
 from riskfix.sequence import (
@@ -150,34 +150,34 @@ class TestPathwiseProperties:
 class TestMcExpectations:
     def test_subspace_mean(self):
         K = ConstraintSet.coordinate_subspace(30, 12)
-        curve = mc_expectations(K, np.zeros(30), [0.5, 1.0, 2.0], samples=2000, base_seed=5)
+        curve = mc_expectations(K, np.zeros(30), [0.5, 1.0, 2.0], MonteCarloConfig(2000, 5))
         for j, sigma in enumerate([0.5, 1.0, 2.0]):
             expected = sigma**2 * 12
             assert abs(curve.err_mean[j] - expected) <= 3.0 * curve.err_se[j]
 
     def test_orthant_zero_signal(self):
         K = ConstraintSet.orthant(50)
-        curve = mc_expectations(K, np.zeros(50), [1.0], samples=4000, base_seed=6)
+        curve = mc_expectations(K, np.zeros(50), [1.0], MonteCarloConfig(4000, 6))
         assert abs(curve.err_mean[0] - 25.0) <= 3.0 * curve.err_se[0]
 
     def test_monotone_zero_signal(self):
         K = ConstraintSet.monotone_cone(100)
-        curve = mc_expectations(K, np.zeros(100), [1.0], samples=4000, base_seed=7)
+        curve = mc_expectations(K, np.zeros(100), [1.0], MonteCarloConfig(4000, 7))
         assert abs(curve.err_mean[0] - HARMONIC_100) <= 3.0 * curve.err_se[0]
 
     def test_grid_validation(self):
         K = ConstraintSet.orthant(4)
         with pytest.raises(DomainError):
-            mc_expectations(K, np.zeros(4), [1.0, 0.5], samples=200)
+            mc_expectations(K, np.zeros(4), [1.0, 0.5], MonteCarloConfig(200))
         with pytest.raises(DomainError):
-            mc_expectations(K, np.zeros(4), [1.0], samples=10)
+            mc_expectations(K, np.zeros(4), [1.0], MonteCarloConfig(10))
 
     def test_common_random_numbers(self):
         # identical draws across grid points: err curves are pathwise
         # monotone, so the Monte Carlo means must be monotone too (no jitter)
         K = ConstraintSet.monotone_cone(15)
         grid = np.geomspace(0.1, 5.0, 12)
-        curve = mc_expectations(K, np.zeros(15), grid, samples=300, base_seed=8)
+        curve = mc_expectations(K, np.zeros(15), grid, MonteCarloConfig(300, 8))
         assert np.all(np.diff(curve.err_mean) >= -1e-12)
         assert np.all(np.diff(curve.err_mean / grid**2) <= 1e-12)
 
@@ -185,7 +185,7 @@ class TestMcExpectations:
         # Var(err) <= 4 sigma^2 E err, with Monte Carlo slack
         K = ConstraintSet.orthant(20)
         mu0 = np.linspace(0, 2, 20)
-        curve = mc_expectations(K, mu0, [0.7], samples=4000, base_seed=9)
+        curve = mc_expectations(K, mu0, [0.7], MonteCarloConfig(4000, 9))
         sample_var = (curve.err_se[0] ** 2) * 4000
         bound = 4.0 * 0.7**2 * (curve.err_mean[0] + 5.0 * curve.err_se[0])
         assert sample_var <= bound
@@ -207,7 +207,7 @@ class TestOrthantClosedForms:
     def test_against_monte_carlo(self):
         K = ConstraintSet.orthant(50)
         mu0 = np.full(50, 5.0)
-        curve = mc_expectations(K, mu0, [1.0], samples=4000, base_seed=10)
+        curve = mc_expectations(K, mu0, [1.0], MonteCarloConfig(4000, 10))
         assert abs(curve.err_mean[0] - orthant_err_closed_form(mu0, 1.0)) <= 3.0 * curve.err_se[0]
         assert abs(curve.lrt_mean[0] - orthant_lrt_closed_form(mu0, 1.0)) <= 3.0 * curve.lrt_se[0]
 
