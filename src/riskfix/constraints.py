@@ -7,9 +7,9 @@ basis.  Each set knows its Euclidean projection, the a.e. divergence
 decomposition for cone kinds, and Monte Carlo estimators of its statistical
 dimension and of the tangent-cone dimension at a feasible point.
 
-All operations are pure; Monte Carlo estimators draw replicate ``i`` from a
-child seed of ``(seed, i)`` and accumulate in index order, so results do not
-depend on scheduling.
+All operations are pure; Monte Carlo estimators average over rows from
+``seeds.gaussian_rows`` (row ``i`` from a child seed of ``(seed, i)``) and
+accumulate in index order, so results do not depend on scheduling.
 """
 
 from dataclasses import dataclass
@@ -163,7 +163,12 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     if K.kind == "monotone_cone":
         res = isotonic_regression(x)
         point = res["x"]  # item access: OptimizeResult's attribute lookup is slow
-        pieces = _monotone_pieces(x, point, res["blocks"])
+        # Exact input ties sit on the non-differentiability set of the piece
+        # count; recount after dithering.  scipy's PAVA pools neighbouring
+        # blocks of equal mean, so each block is one constant piece.
+        if np.count_nonzero(x[1:] == x[:-1]):
+            res = isotonic_regression(_dithered(x))
+        pieces = res["blocks"].size - 1
         return ProjectionResult(point, float(pieces), pieces)
 
     if K.kind == "l1_ball":
@@ -188,13 +193,13 @@ def polar_project(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
     return x - project(K, x).point
 
 
-def statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
+def statistical_dimension(K: ConstraintSet, H: np.ndarray):
     """Statistical dimension delta_K, the high-noise limit of E err(s)/s^2, with SE.
 
     Per kind: orthant n/2 and subspace d in closed form; the l1 ball 0,
-    since a bounded set's recession cone is {0}; the monotone cone by Monte
-    Carlo (``mc_statistical_dimension``).  Closed forms have zero standard
-    error.
+    since a bounded set's recession cone is {0}; the monotone cone as the
+    mean of ||Pi_K(h)||^2 over the standard Gaussian rows h of ``H``.
+    Closed forms never read ``H`` (pass None) and have zero standard error.
     """
     if K.kind == "orthant":
         return K.n / 2.0, 0.0
@@ -202,7 +207,7 @@ def statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
         return float(K.subspace_dim), 0.0
     if K.kind == "l1_ball":
         return 0.0, 0.0
-    return mc_statistical_dimension(K, mc)
+    return mean_se(row_sq_norms(project_rows(K, H)))
 
 
 def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
@@ -213,14 +218,16 @@ def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
     return mean_se(row_sq_norms(project_rows(K, H)))
 
 
-def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
+def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     """Statistical dimension of the tangent cone of K at mu0, with SE.
 
-    Estimated through the low-noise limit E err(s)/s^2 with s halving from
-    1e-2 until the estimate moves by less than 1e-3 relative (absolute
-    floor 1e-3); at most 60 steps.  Closed forms: orthant gives n - z/2
-    with z the number of zero coordinates of mu0; a subspace is its own
-    tangent cone.
+    Estimated through the low-noise limit E err(s)/s^2 over the standard
+    Gaussian rows of ``H``, with s halving from 1e-2 until the estimate
+    moves by less than 1e-3 relative (absolute floor 1e-3); at most 60
+    steps.  It stops on the first plateau, so monotone blocks a tiny gap
+    apart (1e-6) read as one merged block.  Closed forms, which never read
+    ``H``: orthant gives n - z/2 with z the number of zero coordinates of
+    mu0; a subspace is its own tangent cone.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0, tol=1e-8):
@@ -230,7 +237,6 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, mc: MonteCarloConfig):
     if K.kind == "orthant":
         z = int(np.count_nonzero(np.abs(mu0) <= 1e-12))
         return K.n - z / 2.0, 0.0
-    H = gaussian_rows(mc.seed, mc.samples, K.n)
     s = 1e-2
     prev = None
     for _ in range(60):
@@ -304,20 +310,11 @@ def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
     k = np.arange(1, Y.shape[1] + 1)
     candidates = (cs - K.radius) / k
     counts = np.count_nonzero(a > candidates, axis=1)
+    if np.count_nonzero(counts) < counts.size:
+        raise DomainError("l1 radius is below the floating-point resolution of the input")
     mu = candidates[np.arange(A.shape[0]), counts - 1]
     out[over] = np.sign(Y[over]) * np.maximum(A - mu[:, None], 0.0)
     return out
-
-
-def _monotone_pieces(x: np.ndarray, fit: np.ndarray, blocks: np.ndarray) -> int:
-    means = fit[blocks[:-1]]
-    # Exact input ties sit on the non-differentiability set of the piece
-    # count; recount after dithering.  scipy's PAVA pools neighbouring blocks
-    # of equal mean, so the means never tie (blocks sharing one go unseen).
-    if np.count_nonzero(x[1:] == x[:-1]):
-        res = isotonic_regression(_dithered(x))
-        means = res["x"][res["blocks"][:-1]]
-    return int(np.count_nonzero(means[1:] > means[:-1])) + 1
 
 
 def _dithered(x: np.ndarray) -> np.ndarray:

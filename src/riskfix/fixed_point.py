@@ -52,8 +52,8 @@ class FixedPointProblem:
     ``signal`` is either an explicit vector in K or a ``DiscretePrior`` of
     i.i.d. coordinates (orthant only).  ``mc`` is the Monte Carlo budget:
     the orthant and the subspace run their closed forms and leave it
-    unused; every other set draws its E err, delta_K and delta_T estimates
-    from it.
+    unused; every other set draws one Gaussian matrix from it per solve,
+    and its E err, delta_K and delta_T estimates all read those rows.
     """
 
     constraint: ConstraintSet
@@ -153,7 +153,7 @@ def solve(
     if tol is None:
         tol = path.tol
 
-    delta_k, se_k = statistical_dimension(problem.constraint, problem.mc)
+    delta_k, se_k = statistical_dimension(problem.constraint, path.rows)
     delta_t, se_t = path.delta_T
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
     if m < 10.0 * l_n:
@@ -276,6 +276,7 @@ class _Path(NamedTuple):
     final: Callable  # omega -> (err SE, E(lrt - err), SE), once at the root
     delta_T: tuple  # (delta_T, SE)
     tol: float  # default step tolerance of ``solve``
+    rows: np.ndarray = None  # Monte Carlo draws for E err, delta_K, delta_T; None if closed
 
 
 def _path(problem: FixedPointProblem) -> _Path:
@@ -291,17 +292,17 @@ def _path(problem: FixedPointProblem) -> _Path:
     mu0 = np.asarray(signal, dtype=float)
     if not K.contains(mu0, tol=1e-8):
         raise DomainError("signal must belong to the constraint set")
-    delta_t = tangent_dimension(K, mu0, mc)
     if K.kind == "orthant":
         return _Path(
             err=lambda w: (orthant_err_closed_form(mu0, w), 0.0),
             final=lambda w: (0.0, orthant_lrt_closed_form(mu0, w)
                              - orthant_err_closed_form(mu0, w), 0.0),
-            delta_T=delta_t, tol=1e-10,
+            delta_T=tangent_dimension(K, mu0, None), tol=1e-10,
         )
     if K.kind == "subspace":
         return _Path(err=lambda w: (w**2 * K.subspace_dim, 0.0),
-                     final=lambda w: (0.0, 0.0, 0.0), delta_T=delta_t, tol=1e-10)
+                     final=lambda w: (0.0, 0.0, 0.0),
+                     delta_T=tangent_dimension(K, mu0, None), tol=1e-10)
 
     H = gaussian_rows(mc.seed, mc.samples, n)
 
@@ -312,4 +313,4 @@ def _path(problem: FixedPointProblem) -> _Path:
         e, lrt, _ = process_rows(K, mu0, w, H)
         return (mean_se(e)[1],) + mean_se(lrt - e)
 
-    return _Path(err=err, final=final, delta_T=delta_t, tol=1e-6)
+    return _Path(err=err, final=final, delta_T=tangent_dimension(K, mu0, H), tol=1e-6, rows=H)

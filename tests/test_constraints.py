@@ -25,6 +25,7 @@ from riskfix.constraints import (
     tangent_dimension,
 )
 from riskfix.errors import DescriptorError, DomainError, UnsupportedKindError
+from riskfix.seeds import gaussian_rows
 
 HARMONIC_100 = sum(1.0 / i for i in range(1, 101))  # 5.187377517639621
 
@@ -233,10 +234,14 @@ class TestRejection:
         assert (res.divergence, res.structure) == (small.divergence, small.structure)
 
     def test_l1_radius_below_resolution(self):
-        # 1e200 - 1 rounds to 1e200: no candidate threshold lies below |x|
-        x = np.full(3, 1e200)
-        with pytest.raises(DomainError, match="resolution"):
-            project(ConstraintSet.l1_ball(3, 1.0), x)
+        # 1e200 - 1 rounds to 1e200: no candidate threshold lies below |x|;
+        # the row path must refuse too, not return a point outside the ball
+        K = ConstraintSet.l1_ball(3, 1.0)
+        for x in (np.full(3, 1e200), np.array([1e17, 1.0, 0.5])):
+            with pytest.raises(DomainError, match="resolution"):
+                project(K, x)
+            with pytest.raises(DomainError, match="resolution"):
+                project_rows(K, x[None, :])
 
     def test_sum_overflow_is_accepted(self):
         x = np.array([1.5e308, 1.5e308, -1.5e308])
@@ -246,7 +251,7 @@ class TestRejection:
         assert np.array_equal(res.point, np.maximum(x, 0.0)) and res.structure == 2
 
     def test_callers_raise_the_projection_errors(self):
-        mc = MonteCarloConfig(samples=100)
+        H = gaussian_rows(0, 100, 5)
         for K in (ConstraintSet.orthant(5), ConstraintSet.monotone_cone(5)):
             for x, message in ((np.full(5, np.nan), "finite"), (np.zeros(4), "length 5")):
                 with pytest.raises(DomainError, match=message):
@@ -254,7 +259,7 @@ class TestRejection:
                 with pytest.raises(DomainError, match=message):
                     K.contains(x)
                 with pytest.raises(DomainError, match=message):
-                    tangent_dimension(K, x, mc)
+                    tangent_dimension(K, x, H)
 
 
 class TestProjectExamples:
@@ -406,17 +411,17 @@ class TestProjectionInvariants:
 
 class TestDimensions:
     def test_orthant_closed_form(self):
-        est, se = statistical_dimension(ConstraintSet.orthant(50), MonteCarloConfig(1000, 0))
+        est, se = statistical_dimension(ConstraintSet.orthant(50), None)
         assert est == 25.0 and se == 0.0
 
     def test_subspace_closed_form(self):
         K = ConstraintSet.coordinate_subspace(10, 7)
-        est, se = statistical_dimension(K, MonteCarloConfig(1000, 0))
+        est, se = statistical_dimension(K, None)
         assert est == 7.0 and se == 0.0
 
     def test_monotone_harmonic_number(self):
         K = ConstraintSet.monotone_cone(100)
-        est, se = statistical_dimension(K, MonteCarloConfig(10_000, 42))
+        est, se = statistical_dimension(K, gaussian_rows(42, 10_000, 100))
         assert abs(est - HARMONIC_100) <= 3.0 * se
 
     def test_mc_orthant_matches_closed_form(self):
@@ -431,7 +436,7 @@ class TestDimensions:
 
         monkeypatch.setattr(constraints, "project_rows", no_rows)
         K = ConstraintSet.l1_ball(20, 1.0)
-        assert statistical_dimension(K, MonteCarloConfig(500, 44)) == (0.0, 0.0)
+        assert statistical_dimension(K, None) == (0.0, 0.0)
 
     def test_mc_statistical_dimension_needs_a_cone(self):
         # E ||Pi_K(h)||^2 is delta_K only for a cone; the l1 ball's is 0
@@ -440,25 +445,25 @@ class TestDimensions:
 
     def test_tangent_orthant_zero(self):
         K = ConstraintSet.orthant(10)
-        est, se = tangent_dimension(K, np.zeros(10), MonteCarloConfig(500, 0))
+        est, se = tangent_dimension(K, np.zeros(10), None)
         assert est == 5.0 and se == 0.0
 
     def test_tangent_orthant_interior(self):
         K = ConstraintSet.orthant(10)
-        est, _ = tangent_dimension(K, np.full(10, 2.0), MonteCarloConfig(500, 0))
+        est, _ = tangent_dimension(K, np.full(10, 2.0), None)
         assert est == 10.0
 
     def test_tangent_subspace(self):
         K = ConstraintSet.coordinate_subspace(8, 3)
         mu0 = np.zeros(8)
         mu0[:3] = [1.0, -2.0, 0.5]
-        est, se = tangent_dimension(K, mu0, MonteCarloConfig(500, 0))
+        est, se = tangent_dimension(K, mu0, None)
         assert est == 3.0 and se == 0.0
 
     def test_tangent_requires_membership(self):
         K = ConstraintSet.orthant(5)
         with pytest.raises(DomainError):
-            tangent_dimension(K, np.array([1.0, -1.0, 0.0, 0.0, 0.0]), MonteCarloConfig(500, 0))
+            tangent_dimension(K, np.array([1.0, -1.0, 0.0, 0.0, 0.0]), None)
 
     def test_monotone_tangent_piecewise_signal(self):
         # two-piece signal: tangent cone splits into two monotone cones plus
@@ -467,22 +472,22 @@ class TestDimensions:
         n = 40
         K = ConstraintSet.monotone_cone(n)
         mu0 = np.repeat([0.0, 1.0], n // 2)
-        mc = MonteCarloConfig(4000, 7)
-        dt, se_t = tangent_dimension(K, mu0, mc)
-        dk, se_k = statistical_dimension(K, mc)
+        H = gaussian_rows(7, 4000, n)
+        dt, se_t = tangent_dimension(K, mu0, H)
+        dk, se_k = statistical_dimension(K, H)
         assert dk <= dt + 3.0 * (se_k + se_t)
 
     def test_delta_monotonicity_across_pairs(self):
         rng = np.random.default_rng(18)
-        mc = MonteCarloConfig(2000, 19)
+        H = gaussian_rows(19, 2000, 20)
         cases = [
             (ConstraintSet.orthant(20), np.abs(rng.standard_normal(20))),
             (ConstraintSet.monotone_cone(20), np.sort(rng.standard_normal(20))),
             (ConstraintSet.l1_ball(20, 2.0), np.zeros(20)),
         ]
         for K, mu0 in cases:
-            dk, se_k = statistical_dimension(K, mc)
-            dt, se_t = tangent_dimension(K, mu0, mc)
+            dk, se_k = statistical_dimension(K, H)
+            dt, se_t = tangent_dimension(K, mu0, H)
             assert dk <= dt + 3.0 * (se_k + se_t)
 
     def test_samples_floor(self):

@@ -8,7 +8,7 @@ import pytest
 
 from riskfix.constraints import ConstraintSet, MonteCarloConfig
 from riskfix.errors import DescriptorError, DomainError, NoSolutionError
-from riskfix import fixed_point
+from riskfix import constraints, fixed_point
 from riskfix.fixed_point import (
     FixedPointProblem,
     classify_regime,
@@ -18,6 +18,7 @@ from riskfix.fixed_point import (
     solve,
 )
 from riskfix.kernels import DiscretePrior
+from riskfix.seeds import gaussian_rows
 from riskfix.sequence import process_rows
 
 
@@ -209,6 +210,32 @@ class TestEvaluationPath:
         sol = quiet_solve(problem)
         assert sol.status == "converged"
         assert len(calls) == (len(sol.trace) - 1) + 1
+
+    def test_one_draw_per_monte_carlo_solve(self, monkeypatch):
+        # delta_K, delta_T and every E err evaluation read the same rows;
+        # the closed forms draw none
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gaussian_rows(*args)
+
+        monkeypatch.setattr(fixed_point, "gaussian_rows", counting)
+        monkeypatch.setattr(constraints, "gaussian_rows", counting)
+        n = 30
+        mc = MonteCarloConfig(samples=200, seed=35)
+        cases = [
+            (ConstraintSet.monotone_cone(n), np.zeros(n), 60, 1),
+            (ConstraintSet.l1_ball(n, 2.0), np.zeros(n), 40, 1),
+            (ConstraintSet.orthant(n), np.full(n, 5.0), 40, 0),
+            (ConstraintSet.orthant(n), DiscretePrior([(0.0, 0.3), (2.0, 0.7)]), 40, 0),
+            (ConstraintSet.coordinate_subspace(n, 5), np.zeros(n), 20, 0),
+        ]
+        for K, signal, m, draws in cases:
+            calls.clear()
+            sol = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, mc))
+            assert sol.status == "converged", K.kind
+            assert len(calls) == draws, K.kind
 
 
 class TestNnls:
