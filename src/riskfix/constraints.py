@@ -15,7 +15,8 @@ accumulate in index order, so results do not depend on scheduling.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+# isotonic_regression's PAVA core: its wrapper costs more than the fit (tests pin it).
+from scipy.optimize._pava_pybind import pava
 
 from .errors import DescriptorError, DomainError, UnsupportedKindError
 from .seeds import gaussian_rows, mean_se
@@ -151,7 +152,8 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     the l1 sphere) are dithered once by ``1e-12 * cos(1..n)`` before
     counting structure; the returned point is always computed from the raw
     input.  Monotone blocks that share a mean without an input tie are not
-    detected.  Shape and finiteness are checked on every call.
+    detected.  Shape and finiteness are checked on every call; ``x`` is
+    never written.
     """
     x = _check_vector(K, x)
     if K.kind == "orthant":
@@ -161,14 +163,13 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
         return ProjectionResult(point, float(structure), structure)
 
     if K.kind == "monotone_cone":
-        res = isotonic_regression(x)
-        point = res["x"]  # item access: OptimizeResult's attribute lookup is slow
+        point = x.copy()
+        pieces = _pava(point)
         # Exact input ties sit on the non-differentiability set of the piece
         # count; recount after dithering.  scipy's PAVA pools neighbouring
         # blocks of equal mean, so each block is one constant piece.
         if np.count_nonzero(x[1:] == x[:-1]):
-            res = isotonic_regression(_dithered(x))
-        pieces = res["blocks"].size - 1
+            pieces = _pava(_dithered(x))
         return ProjectionResult(point, float(pieces), pieces)
 
     if K.kind == "l1_ball":
@@ -249,16 +250,16 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
 
 
 def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
-    """Row-wise projection of an (r, n) matrix onto K (points only)."""
+    """Row-wise projection of an (r, n) matrix onto K (points only); ``Y`` is never written."""
     Y = np.asarray(Y, dtype=float)
     if K.kind == "orthant":
         return np.maximum(Y, 0.0)
     if K.kind == "subspace":
         return (Y @ K.basis) @ K.basis.T
     if K.kind == "monotone_cone":
-        out = np.empty_like(Y)
-        for i in range(Y.shape[0]):
-            out[i] = isotonic_regression(Y[i]).x
+        out = np.array(Y, order="C")
+        for row in out:
+            _pava(row)
         return out
     return _project_l1_rows(K, Y)
 
@@ -315,6 +316,11 @@ def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
     mu = candidates[np.arange(A.shape[0]), counts - 1]
     out[over] = np.sign(Y[over]) * np.maximum(A - mu[:, None], 0.0)
     return out
+
+
+def _pava(x: np.ndarray) -> int:
+    """Fit ``x`` in place (C-contiguous float64, else pybind fits a copy); return the block count."""
+    return pava(x, np.ones(x.size), np.full(x.size + 1, -1, np.intp))[3]
 
 
 def _dithered(x: np.ndarray) -> np.ndarray:

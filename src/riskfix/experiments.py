@@ -78,7 +78,7 @@ class ExperimentConfig:
         for pair in self.grid:
             if len(pair) != 2 or pair[0] < 1 or pair[1] < 1:
                 raise ConfigError(f"grid entries must be positive (n, m) pairs, got {pair!r}")
-        if self.sigma <= 0 or self.replicates < 10 or self.samples < 100 or self.jobs < 1:
+        if not 0 < self.sigma < np.inf or self.replicates < 10 or self.samples < 100 or self.jobs < 1:
             raise ConfigError("config needs sigma > 0, replicates >= 10, samples >= 100 and jobs >= 1")
         if self.solver not in ("amp", "pgd", "auto"):
             raise ConfigError(f"unknown solver choice {self.solver!r}")

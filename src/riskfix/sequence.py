@@ -88,7 +88,7 @@ def mc_expectations(
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     if sigma_grid.ndim != 1 or sigma_grid.size == 0:
         raise DomainError("sigma grid must be a non-empty 1-d array")
-    if np.any(sigma_grid <= 0) or np.any(np.diff(sigma_grid) <= 0):
+    if not (np.all(np.isfinite(sigma_grid)) and sigma_grid[0] > 0 and np.all(np.diff(sigma_grid) > 0)):
         raise DomainError("sigma grid must be positive and strictly increasing")
     _check_inputs(K, mu0, float(sigma_grid[0]))
 

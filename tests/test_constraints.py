@@ -192,6 +192,64 @@ class TestTieDither:
         assert (res.divergence, res.structure) == (2.0, 2)
 
 
+class TestPavaCore:
+    """The monotone cone calls scipy's private PAVA core in place, without
+    ``isotonic_regression``'s wrapper.  These tests pin it to the public
+    function bit for bit, and check that no caller's array is written."""
+
+    def test_core_is_the_public_functions_core(self):
+        # A scipy upgrade that moves or replaces the core fails here by name.
+        import scipy.optimize._isotonic
+
+        assert constraints.pava is scipy.optimize._isotonic.pava
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 300])
+    def test_project_matches_the_public_function(self, n):
+        rng = np.random.default_rng(1000 + n)
+        K = ConstraintSet.monotone_cone(n)
+        for trial in range(300):
+            if trial % 2:
+                x = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            else:
+                x = rng.integers(-3, 4, size=n).astype(float)
+            public = isotonic_regression(x)
+            tied = np.count_nonzero(x[1:] == x[:-1]) > 0
+            pieces = isotonic_regression(dither(x) if tied else x).blocks.size - 1
+            res = project(K, x)
+            assert res.point.tobytes() == public.x.tobytes(), x
+            assert (res.divergence, res.structure) == (float(pieces), pieces), x
+            strided = np.repeat(x, 2)[::2]  # a non-contiguous view of x
+            assert project(K, strided).point.tobytes() == public.x.tobytes(), x
+
+    def test_project_rows_matches_the_public_function(self):
+        rng = np.random.default_rng(62)
+        K = ConstraintSet.monotone_cone(9)
+        Y = rng.standard_normal((40, 9))
+        Y[::3] = rng.integers(-2, 3, size=(14, 9))  # equal neighbours
+        layouts = {
+            "C": Y,
+            "Fortran": np.asfortranarray(Y),
+            "strided rows": Y[::2],
+            "reversed": Y[::-1, ::-1],
+        }
+        for name, view in layouts.items():
+            expected = np.array([isotonic_regression(row).x for row in view])
+            assert project_rows(K, view).tobytes() == expected.tobytes(), name
+
+    def test_inputs_are_never_written(self):
+        K = ConstraintSet.monotone_cone(50)
+        H = gaussian_rows(3, 200, 50)
+        before = H.tobytes()
+        project_rows(K, H)
+        statistical_dimension(K, H)
+        tangent_dimension(K, np.linspace(-1.0, 1.0, 50), H)
+        assert H.tobytes() == before
+        for x in (H[0].copy(), np.round(H[0])):  # the second has equal neighbours
+            before = x.tobytes()
+            project(K, x)
+            assert x.tobytes() == before
+
+
 def rejection_sets():
     """Every kind, with the l1 ball both around and away from the base vector."""
     return [

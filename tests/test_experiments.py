@@ -98,6 +98,14 @@ class TestConfig:
         assert str(exc.value) == ("config needs sigma > 0, replicates >= 10, "
                                   "samples >= 100 and jobs >= 1")
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(name="t", constraint="orthant", signals=("zero",),
+                             grid=((5, 5),), replicates=10, sigma=sigma)
+        assert str(exc.value) == ("config needs sigma > 0, replicates >= 10, "
+                                  "samples >= 100 and jobs >= 1")
+
     def test_load_config_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"name": "x",}')

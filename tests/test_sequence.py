@@ -172,6 +172,13 @@ class TestMcExpectations:
         with pytest.raises(DomainError):
             mc_expectations(K, np.zeros(4), [1.0], MonteCarloConfig(10))
 
+    @pytest.mark.parametrize("kind", ["orthant", "monotone_cone"])
+    @pytest.mark.parametrize("grid", [[0.1, np.nan, 1.0], [0.1, 1.0, np.inf], [np.nan], [-np.inf, 1.0]])
+    def test_non_finite_grid_rejected(self, kind, grid):
+        K = ConstraintSet(kind, 10)
+        with pytest.raises(DomainError, match="sigma grid must be positive and strictly increasing"):
+            mc_expectations(K, np.zeros(10), grid, MonteCarloConfig(200, 0))
+
     def test_common_random_numbers(self):
         # identical draws across grid points: err curves are pathwise
         # monotone, so the Monte Carlo means must be monotone too (no jitter)
