@@ -117,11 +117,11 @@ class ConstraintSet:
             raise UnsupportedKindError("subspace_dim only applies to subspace kind")
         return self.basis.shape[1]
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        """Membership test up to tolerance ``tol * max(1, ||x||)``."""
+    def contains(self, x: np.ndarray) -> bool:
+        """Membership test up to distance ``1e-8 * max(1, ||x||)``."""
         x = np.asarray(x, dtype=float)
         gap = np.linalg.norm(project(self, x).point - x)
-        return gap <= tol * max(1.0, np.linalg.norm(x))
+        return gap <= 1e-8 * max(1.0, np.linalg.norm(x))
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     mu0; a subspace is its own tangent cone.
     """
     mu0 = np.asarray(mu0, dtype=float)
-    if not K.contains(mu0, tol=1e-8):
+    if not K.contains(mu0):
         raise DomainError("mu0 must belong to K")
     if K.kind == "subspace":
         return float(K.subspace_dim), 0.0

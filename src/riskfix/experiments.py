@@ -11,6 +11,7 @@ values.
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -73,11 +74,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.signals:
             raise ConfigError("config needs at least one signal spec")
+        if not (isinstance(self.constraint, str) and isinstance(self.signals, (tuple, list))
+                and all(isinstance(spec, str) for spec in self.signals)):
+            raise ConfigError("constraint must be a string spec and signals a list of them")
         if not self.grid:
             raise ConfigError("config needs a non-empty (n, m) grid")
         for pair in self.grid:
-            if len(pair) != 2 or pair[0] < 1 or pair[1] < 1:
-                raise ConfigError(f"grid entries must be positive (n, m) pairs, got {pair!r}")
+            if len(pair) != 2 or not all(_is_integer(v) and v >= 1 for v in pair):
+                raise ConfigError(f"grid entries must be positive integer (n, m) pairs, got {pair!r}")
+        for field in ("replicates", "samples", "seed", "jobs"):
+            if not _is_integer(getattr(self, field)):
+                raise ConfigError(f"{field} must be an integer, got {getattr(self, field)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+            raise ConfigError(f"sigma must be a real number, got {self.sigma!r}")
         if not 0 < self.sigma < np.inf or self.replicates < 10 or self.samples < 100 or self.jobs < 1:
             raise ConfigError("config needs sigma > 0, replicates >= 10, samples >= 100 and jobs >= 1")
         if self.solver not in ("amp", "pgd", "auto"):
@@ -91,11 +102,11 @@ class ExperimentConfig:
         signals = data.get("signals")
         if isinstance(signals, str):
             data["signals"] = (signals,)
-        elif signals is not None:
+        elif isinstance(signals, list):
             data["signals"] = tuple(signals)
         if "grid" in data:
             try:
-                data["grid"] = tuple((int(n), int(m)) for n, m in data["grid"])
+                data["grid"] = tuple((n, m) for n, m in data["grid"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"grid must be a list of [n, m] pairs: {exc}") from exc
         known = {f for f in cls.__dataclass_fields__}
@@ -106,6 +117,11 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
+
+
+def _is_integer(value) -> bool:
+    """An integer value, not a bool or a float with an integral value."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> ExperimentConfig:

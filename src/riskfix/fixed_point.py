@@ -212,7 +212,7 @@ def nnls_solve(
     """
     if not ratio > 0.5:
         raise NoSolutionError("NNLS fixed point needs m/n > 1/2")
-    if not sigma > 0:
+    if not 0 < sigma < math.inf:
         raise DomainError("sigma must be positive")
 
     def step(r):
@@ -264,6 +264,8 @@ def _step_converged(r: float, r_new: float, prev_step, tol: float) -> bool:
 
 def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) -> R2Check:
     """Residual non-degeneracy statistic omega^2 E H(U/omega) / sigma^2."""
+    if not 0 < sigma < math.inf:
+        raise DomainError("sigma must be positive")
     w = omega(r, ratio, sigma)
     stat = w * w * prior_H(prior, w) / (sigma * sigma)
     return R2Check(statistic=stat, holds=bool(stat < 1.0))
@@ -290,7 +292,7 @@ def _path(problem: FixedPointProblem) -> _Path:
             tol=1e-10,
         )
     mu0 = np.asarray(signal, dtype=float)
-    if not K.contains(mu0, tol=1e-8):
+    if not K.contains(mu0):
         raise DomainError("signal must belong to the constraint set")
     if K.kind == "orthant":
         return _Path(

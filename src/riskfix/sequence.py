@@ -122,13 +122,13 @@ def _check_orthant_args(mu0, sigma: float) -> np.ndarray:
     mu0 = np.asarray(mu0, dtype=float)
     if np.any(mu0 < 0):
         raise DomainError("orthant closed forms need a non-negative mu0")
-    if not sigma > 0:
+    if not 0 < sigma < np.inf:
         raise DomainError("sigma must be positive")
     return mu0
 
 
 def _check_inputs(K: ConstraintSet, mu0: np.ndarray, sigma: float) -> None:
-    if not sigma > 0:
+    if not 0 < sigma < np.inf:
         raise DomainError("sigma must be positive")
-    if not K.contains(mu0, tol=1e-8):
+    if not K.contains(mu0):
         raise DomainError("mu0 must belong to K")

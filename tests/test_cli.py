@@ -53,6 +53,19 @@ class TestExitCodes:
     def test_unknown_preset_is_two(self):
         assert run(["experiment", "figure9-left"]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", 12.5), ("samples", 150.5), ("seed", 1.5), ("jobs", 1.5),
+        ("sigma", "1"), ("grid", [[10.7, 30]]), ("seed", -1), ("constraint", 5),
+        ("signal", 5), ("signal", ["zero", 3]),
+    ])
+    def test_malformed_config_is_two(self, tmp_path, capsys, field, value):
+        cfg = {"name": "bad", "constraint": "monotone_cone", "signal": "zero",
+               "grid": [[10, 30]], "replicates": 10, "samples": 200, "seed": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, field: value}))
+        assert run(["experiment", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_kernels_csv(self, tmp_path):

@@ -279,6 +279,11 @@ class TestNnls:
         assert near_boundary**2 > 50.0
         assert values[-1] ** 2 < 0.3
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            nnls_solve(DiscretePrior([(5.0, 1.0)]), 2.0, sigma)
+
     def test_iteration_cap_warns(self):
         prior = DiscretePrior([(0.0, 0.3), (2.0, 0.7)])
         with pytest.warns(RuntimeWarning, match="iteration cap"):
@@ -295,6 +300,11 @@ class TestNnlsR2:
         r = nnls_solve(prior, 2.0, 1.0)
         chk = nnls_check_R2(prior, r, 2.0, 1.0)
         assert chk.holds
+
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            nnls_check_R2(DiscretePrior([(5.0, 1.0)]), 1.0, 2.0, sigma)
 
     def test_huge_signal_fails(self):
         prior = DiscretePrior.point_mass(1e6)

@@ -8,7 +8,6 @@ kind, the gradient mapping at the returned point.
 """
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -37,6 +36,11 @@ class TestGenerateInstance:
     def test_noise_must_be_nondegenerate(self):
         with pytest.raises(DomainError):
             generate_instance(10, 5, np.zeros(5), 0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError, match=r"sigma > 0"):
+            generate_instance(10, 5, np.zeros(5), sigma)
 
     def test_model_identity(self):
         inst = generate_instance(30, 12, np.linspace(0, 1, 12), 0.7, seed=3)
@@ -82,7 +86,8 @@ class TestPgd:
             assert np.linalg.norm(res.mu_hat - exact) <= 1e-5
 
     def test_converged_means_kkt_certified(self):
-        # converged must certify mu_hat itself, not the extrapolated point
+        # converged must certify mu_hat itself, not the extrapolated point;
+        # under "auto", an AMP result too
         linear = np.arange(1, 101) / 100  # on the boundary of the l1 ball
         cases = [
             (ConstraintSet.orthant(50), np.full(50, 5.0), 60),
@@ -92,10 +97,10 @@ class TestPgd:
         for base, (K, mu0, m) in enumerate(cases, start=1):
             for i in range(15):
                 inst = generate_instance(m, mu0.size, mu0, 1.0, seed=child_seed(base, i))
-                res = pgd_solve(K, inst)
-                assert res.converged, (K.kind, i)
-                kkt = relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat)
-                assert kkt <= 1e-7, (K.kind, i, kkt)
+                for res in (pgd_solve(K, inst), solve_instance(K, inst, "auto")):
+                    assert res.converged, (K.kind, i, res.solver)
+                    kkt = relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat)
+                    assert kkt <= 1e-7, (K.kind, i, res.solver, kkt)
 
     def test_iteration_budget(self):
         # the iteration counters are deterministic
@@ -263,6 +268,32 @@ class TestAmp:
         np.testing.assert_array_equal(forced.mu_hat, amp.mu_hat)
         assert len(calls) == 1
 
+    def test_uncertified_amp_result_falls_back(self, monkeypatch):
+        # AMP claims convergence at mu = 0, which is no minimizer here: only
+        # the KKT certificate in solve_instance can catch it
+        n, m = 20, 40
+        K = ConstraintSet.orthant(n)
+        inst = generate_instance(m, n, np.full(n, 5.0), 1.0, seed=child_seed(24, 0))
+        stalled = SolverResult(mu_hat=np.zeros(n), objective=float(inst.Y @ inst.Y) / m,
+                               iterations=1, solver="amp", converged=True, risk=25.0)
+        assert relative_gradient_mapping(K, inst.X, inst.Y, stalled.mu_hat) > 1e-7
+        monkeypatch.setattr(linear_model, "amp_solve", lambda K, inst: stalled)
+        calls = []
+
+        def counting_pgd(*args, **kwargs):
+            calls.append(1)
+            return pgd_solve(*args, **kwargs)
+
+        monkeypatch.setattr(linear_model, "pgd_solve", counting_pgd)
+        res = solve_instance(K, inst, "auto")
+        assert res.solver == "pgd" and res.converged and len(calls) == 1
+        assert relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat) <= 1e-7
+
+        forced = solve_instance(K, inst, "amp")
+        assert forced.solver == "amp" and not forced.converged
+        np.testing.assert_array_equal(forced.mu_hat, stalled.mu_hat)
+        assert len(calls) == 1
+
     def test_forced_pgd_skips_amp(self, monkeypatch):
         def no_amp(*args, **kwargs):
             raise AssertionError("amp_solve called")
@@ -320,23 +351,6 @@ class TestEmpiricalRisk:
         target = 5.0 / 3.0
         assert abs(np.median(per) - target) / target <= 0.15
         assert abs(mean - target) / target <= 0.30
-
-    def test_audit_warns_on_a_lower_pgd_objective(self, monkeypatch):
-        # The audit reruns PGD on replicates 0, 20, 40, ... that AMP solved
-        # and converged; a reference objective below AMP's flags them.
-        args = (ConstraintSet.orthant(20), np.full(20, 2.0), 60, 20, 1.0)
-        amp_results = run_replicates(*args, 41, 23, "amp")
-        audited = [i for i in (0, 20, 40)
-                   if amp_results[i].solver == "amp" and amp_results[i].converged]
-        assert audited
-
-        def lower_pgd(K, inst):
-            return SolverResult(mu_hat=inst.mu0, objective=0.0, iterations=1,
-                                solver="pgd", converged=True, risk=0.0)
-
-        monkeypatch.setattr(linear_model, "pgd_solve", lower_pgd)
-        with pytest.warns(RuntimeWarning, match=rf"on replicates {re.escape(str(audited))}$"):
-            empirical_risk(*args, replicates=41, base_seed=23, solver_choice="amp")
 
     def test_replicate_floor(self):
         with pytest.raises(DomainError):

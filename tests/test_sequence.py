@@ -230,3 +230,9 @@ class TestOrthantClosedForms:
     def test_negative_mu_rejected(self):
         with pytest.raises(DomainError):
             orthant_err_closed_form(np.array([-1.0]), 1.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        for closed_form in (orthant_err_closed_form, orthant_lrt_closed_form):
+            with pytest.raises(DomainError, match="sigma must be positive"):
+                closed_form(np.ones(5), sigma)
