@@ -30,7 +30,14 @@ from .sequence import mc_expectations
 
 
 def default_seed() -> int:
-    return int(os.environ.get("RISKFIX_SEED", "0"))
+    text = os.environ.get("RISKFIX_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"RISKFIX_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def main(argv=None) -> int:
@@ -123,7 +130,11 @@ def _common(p: argparse.ArgumentParser) -> None:
 
 
 def _seed_of(args) -> int:
-    return default_seed() if args.seed is None else args.seed
+    if args.seed is None:
+        return default_seed()
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _write(args, text: str) -> None:

@@ -258,8 +258,9 @@ def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
         return (Y @ K.basis) @ K.basis.T
     if K.kind == "monotone_cone":
         out = np.array(Y, order="C")
+        w, r = np.empty(K.n), np.empty(K.n + 1, np.intp)
         for row in out:
-            _pava(row)
+            _pava(row, w, r)
         return out
     return _project_l1_rows(K, Y)
 
@@ -318,9 +319,17 @@ def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pava(x: np.ndarray) -> int:
-    """Fit ``x`` in place (C-contiguous float64, else pybind fits a copy); return the block count."""
-    return pava(x, np.ones(x.size), np.full(x.size + 1, -1, np.intp))[3]
+def _pava(x: np.ndarray, w: np.ndarray = None, r: np.ndarray = None) -> int:
+    """Fit ``x`` in place (C-contiguous float64, else pybind fits a copy); return the block count.
+
+    ``w`` (size n) and ``r`` (intp, size n + 1) are work buffers the core
+    overwrites, refilled here as ``isotonic_regression`` fills them; None allocates them.
+    """
+    if w is None:
+        w, r = np.empty(x.size), np.empty(x.size + 1, np.intp)
+    w.fill(1.0)
+    r.fill(-1)
+    return pava(x, w, r)[3]
 
 
 def _dithered(x: np.ndarray) -> np.ndarray:

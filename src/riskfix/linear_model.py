@@ -6,8 +6,9 @@ the projection divergence (the isotonic piece count generalized to every
 supported constraint).  The reference solver and fallback is accelerated
 projected gradient (FISTA with gradient restart), stopped on the
 gradient-mapping (KKT) residual and returning its best iterate; an AMP result
-counts as converged only if it passes the same test.  Empirical risk
-aggregates independent replicates with per-replicate child seeds.
+counts as converged only if it passes the same test, and a rejected one
+starts the fallback unless AMP blew up.  Empirical risk aggregates
+independent replicates with per-replicate child seeds.
 """
 
 import math
@@ -46,6 +47,10 @@ class SolverResult:
     solver: str  # "amp" | "pgd"
     converged: bool
     risk: float  # ||mu_hat - mu0||^2 / n
+    # Why AMP's result was rejected: "blowup" or "cap" (set by amp_solve),
+    # "uncertified" (by solve_instance); carried onto the fallback's result.
+    # None for an accepted AMP result and for PGD alone.
+    fallback: str = None
 
 
 def generate_instance(
@@ -85,9 +90,11 @@ def amp_solve(
         r^{t+1}  = Y - X mu^{t+1} + (k_t / m) r^t
 
     with k_t the projection divergence at the pre-projection point, starting
-    from mu^0 = 0, r^0 = Y.  Declares divergence and stops unconverged when
-    the iterate norm exceeds 1e6 * (||mu0|| + sqrt(n) * noise scale);
-    falling back to PGD is left to ``solve_instance``.
+    from mu^0 = 0, r^0 = Y.  Stops unconverged when the iterate norm exceeds
+    1e6 * (||mu0|| + sqrt(n) * noise scale) (``fallback = "blowup"``), or
+    after ``max_iter`` iterations (``"cap"``; ``"blowup"`` too if the last
+    iterate fits Y worse than mu^0 does, so is still diverging).  Falling
+    back to PGD is left to ``solve_instance``.
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
@@ -97,7 +104,7 @@ def amp_solve(
     mu_norm = 0.0
     r = Y.copy()
     converged = False
-    iterations = max_iter
+    iterations, fallback = max_iter, "cap"
     # ||v|| as sqrt(v.dot(v)), np.linalg.norm's own formula without its dispatch
     for t in range(max_iter):
         pr = project(K, (n / m) * (X.T @ r) + mu)
@@ -105,23 +112,27 @@ def amp_solve(
         r = Y - X @ mu_new + (pr.divergence / m) * r
         new_norm = math.sqrt(mu_new.dot(mu_new))
         if new_norm > blowup:
-            mu, iterations = mu_new, t + 1
+            mu, iterations, fallback = mu_new, t + 1, "blowup"
             break
         move = mu_new - mu
         step = math.sqrt(move.dot(move)) / max(mu_norm, 1.0)
         mu, mu_norm = mu_new, new_norm
         if step < tol:
             converged = True
-            iterations = t + 1
+            iterations, fallback = t + 1, None
             break
     resid = Y - X @ mu
+    objective = float(resid @ resid) / m
+    if fallback == "cap" and objective > float(Y @ Y) / m:
+        fallback = "blowup"
     return SolverResult(
         mu_hat=mu,
-        objective=float(resid @ resid) / m,
+        objective=objective,
         iterations=iterations,
         solver="amp",
         converged=converged,
         risk=float(np.linalg.norm(mu - inst.mu0) ** 2) / n,
+        fallback=fallback,
     )
 
 
@@ -130,8 +141,13 @@ def pgd_solve(
     inst: DesignInstance,
     tol: float = 1e-10,
     max_iter: int = 50_000,
+    x0: np.ndarray = None,
 ) -> SolverResult:
     """Accelerated projected gradient on ||Y - X mu||^2 / (2m), restarted.
+
+    Starts from ``Pi_K(x0)``, or ``Pi_K(0)`` when ``x0`` is None; that first
+    projection is the only one outside the loop, which projects once per
+    iteration.
 
     FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 (100 power
     iterations): ``x+ = Pi_K(y - s grad f(y))``, then ``y = x+ + beta (x+ - x)``,
@@ -149,7 +165,7 @@ def pgd_solve(
     smax_sq = _power_iteration_sq(X, inst.seed)
     step = m / (smax_sq + 1e-12)
     kkt_tol = tol * float(np.linalg.norm(X.T @ Y)) / m
-    x = y = best_mu = project(K, np.zeros(n)).point
+    x = y = best_mu = project(K, np.zeros(n) if x0 is None else x0).point
     Xx = Xy = X @ x
     resid = Y - Xx
     best_f = float(resid @ resid) / (2.0 * m)
@@ -193,17 +209,20 @@ def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = 
 
     ``auto`` runs AMP and falls back to PGD once whenever AMP did not
     converge: it blew up, hit its iteration cap, or stopped at a point that
-    fails ``_kkt_certified``; ``amp`` then returns AMP's result marked
-    unconverged.  ``pgd`` runs PGD alone.
+    fails ``_kkt_certified`` (``fallback`` says which).  PGD starts from
+    AMP's last iterate after the cap or a stall, and from zero after a
+    blow-up.  ``amp`` returns AMP's result marked unconverged instead.
+    ``pgd`` runs PGD alone, from zero.
     """
     if solver_choice == "pgd":
         return pgd_solve(K, inst)
     result = amp_solve(K, inst)
     if result.converged and not _kkt_certified(K, inst, result.mu_hat):
-        result = replace(result, converged=False)
-    if solver_choice == "auto" and not result.converged:
-        return pgd_solve(K, inst)
-    return result
+        result = replace(result, converged=False, fallback="uncertified")
+    if solver_choice == "amp" or result.converged:
+        return result
+    x0 = None if result.fallback == "blowup" else result.mu_hat
+    return replace(pgd_solve(K, inst, x0=x0), fallback=result.fallback)
 
 
 def _kkt_certified(K: ConstraintSet, inst: DesignInstance, mu: np.ndarray) -> bool:

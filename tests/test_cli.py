@@ -66,6 +66,19 @@ class TestExitCodes:
         assert run(["experiment", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    SIMULATE = ["simulate", "--constraint", "orthant", "--n", "5", "--m", "10",
+                "--signal", "zero", "--replicates", "10"]
+
+    def test_negative_seed_is_two(self, capsys):
+        assert run(self.SIMULATE + ["--seed", "-1"]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_seed_is_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("RISKFIX_SEED", value)
+        assert run(self.SIMULATE) == 2
+        assert "RISKFIX_SEED" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_kernels_csv(self, tmp_path):

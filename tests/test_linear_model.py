@@ -7,6 +7,7 @@ n = 50, the exact active-set NNLS of ``scipy.optimize.nnls``; for every
 kind, the gradient mapping at the returned point.
 """
 
+import functools
 import math
 import warnings
 
@@ -101,6 +102,8 @@ class TestPgd:
                     assert res.converged, (K.kind, i, res.solver)
                     kkt = relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat)
                     assert kkt <= 1e-7, (K.kind, i, res.solver, kkt)
+                # only a fallback carries a reason
+                assert (res.solver == "pgd") == (res.fallback is not None), (K.kind, i)
 
     def test_iteration_budget(self):
         # the iteration counters are deterministic
@@ -118,6 +121,48 @@ class TestPgd:
             res = pgd_solve(K, inst)
             assert res.converged and res.iterations < 50_000, i
         assert fallbacks > 0
+
+    def test_start_at_minimizer_converges_at_once(self):
+        # scipy's active-set NNLS is an exact minimizer: one step certifies it
+        K = ConstraintSet.orthant(50)
+        for inst in figure2_left_m60(5):
+            exact, _ = nnls(inst.X, inst.Y)
+            res = pgd_solve(K, inst, x0=exact)
+            assert res.converged and res.iterations == 1
+            assert np.linalg.norm(res.mu_hat - exact) <= 1e-12
+
+    def test_warm_fallback_iteration_budget(self):
+        # deterministic counters on the auto path (1,942 and 1,614): starting
+        # the fallback at AMP's capped iterate about halves the cold start's
+        # 3,319 and 3,214
+        cases = [
+            (ConstraintSet.orthant(50), figure2_left_m60(10), 2_500),
+            (ConstraintSet.l1_ball(100, 50.5), [
+                generate_instance(60, 100, np.arange(1, 101) / 100, 1.0, seed=child_seed(2, i))
+                for i in range(10)
+            ], 2_000),
+        ]
+        for K, instances, budget in cases:
+            results = [solve_instance(K, inst, "auto") for inst in instances]
+            fallbacks = [res for res in results if res.solver == "pgd"]
+            assert sum(res.fallback == "cap" for res in fallbacks) >= 5, K.kind
+            assert sum(res.iterations for res in fallbacks) <= budget, K.kind
+
+    def test_warm_and_cold_fallback_agree(self):
+        # a unique minimizer does not depend on the start point (m = 60 is
+        # non-degenerate for both sets)
+        cases = [
+            (ConstraintSet.orthant(50), np.full(50, 5.0), 60),
+            (ConstraintSet.l1_ball(100, 50.5), np.arange(1, 101) / 100, 60),
+        ]
+        for K, mu0, m in cases:
+            for i in range(10):
+                inst = generate_instance(m, K.n, mu0, 1.0, seed=child_seed(3, i))
+                warm = solve_instance(K, inst, "auto")
+                if warm.solver != "pgd":
+                    continue
+                cold = pgd_solve(K, inst)
+                assert abs(warm.risk - cold.risk) <= 1e-6 * cold.risk, (K.kind, i)
 
     def test_objective_nonincreasing_in_budget(self):
         K = ConstraintSet.monotone_cone(10)
@@ -154,7 +199,8 @@ class TestPgd:
 
 
 class TestProjectionCount:
-    """AMP projects once per iteration and PGD once more, before its loop.
+    """AMP projects once per iteration and PGD once more, before its loop,
+    whether it starts cold or from ``x0``.
 
     perfbench's tracer reads solver iteration counts from these calls, so the
     count must hold converged or capped, on every kind the solvers serve.
@@ -180,7 +226,8 @@ class TestProjectionCount:
         monkeypatch.setattr(linear_model, "project", counting_project)
         inst = generate_instance(m, K.n, mu0, 1.0, seed=child_seed(40, 0))
         budget = {} if max_iter is None else {"max_iter": max_iter}
-        for solve, extra in ((amp_solve, 0), (pgd_solve, 1)):
+        warm = functools.partial(pgd_solve, x0=mu0)  # a warm start projects once too
+        for solve, extra in ((amp_solve, 0), (pgd_solve, 1), (warm, 1)):
             calls.clear()
             res = solve(K, inst, **budget)
             assert res.converged == (max_iter is None)
@@ -250,22 +297,65 @@ class TestAmp:
         amp = amp_solve(K, inst)
         assert amp.solver == "amp" and not amp.converged
         assert amp.iterations < 100  # stopped by the blow-up test, not the cap
+        assert amp.fallback == "blowup"
 
         calls = []
 
         def counting_pgd(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs)
             return pgd_solve(*args, **kwargs)
 
         monkeypatch.setattr(linear_model, "pgd_solve", counting_pgd)
         res = solve_instance(K, inst, "auto")
         assert res.solver == "pgd" and res.converged and len(calls) == 1
+        assert res.fallback == "blowup"
+        # a blown-up iterate is no start point: PGD starts cold
+        assert calls[0].get("x0") is None
+        assert res.iterations == pgd_solve(K, inst).iterations
         gap = np.linalg.norm(project(K, res.mu_hat).point - res.mu_hat)
         assert gap <= 1e-8
 
         forced = solve_instance(K, inst, "amp")
         assert forced.solver == "amp" and not forced.converged
+        assert forced.fallback == "blowup"
         np.testing.assert_array_equal(forced.mu_hat, amp.mu_hat)
+        assert len(calls) == 1
+
+    def test_capped_amp_fitting_worse_than_zero_blew_up(self):
+        # zero signal, m < n/2: at the cap AMP's iterate (norm ~5e6, below the
+        # norm bound) fits Y worse than mu = 0 does.  Started there, PGD would
+        # stop at an interpolating minimizer of risk ~2e11 instead of ~10.
+        K = ConstraintSet.orthant(50)
+        inst = generate_instance(20, 50, np.zeros(50), 1.0, seed=child_seed(7, 0))
+        amp = amp_solve(K, inst)
+        assert amp.iterations == 100 and amp.objective > float(inst.Y @ inst.Y) / 20
+        assert amp.fallback == "blowup"
+        res = solve_instance(K, inst, "auto")
+        assert res.fallback == "blowup" and res.risk == pgd_solve(K, inst).risk < 100.0
+
+    def test_capped_amp_warm_starts_pgd(self, monkeypatch):
+        # orthant m = 60: AMP runs to its iteration cap near a minimizer, and
+        # PGD starts from its last iterate
+        K = ConstraintSet.orthant(50)
+        inst = figure2_left_m60(1)[0]
+        amp = amp_solve(K, inst)
+        assert not amp.converged and amp.iterations == 100 and amp.fallback == "cap"
+        calls = []
+
+        def counting_pgd(*args, **kwargs):
+            calls.append(kwargs)
+            return pgd_solve(*args, **kwargs)
+
+        monkeypatch.setattr(linear_model, "pgd_solve", counting_pgd)
+        res = solve_instance(K, inst, "auto")
+        assert res.solver == "pgd" and res.converged and res.fallback == "cap"
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0]["x0"], amp.mu_hat)
+        assert relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat) <= 1e-7
+        assert res.iterations < pgd_solve(K, inst).iterations
+
+        forced = solve_instance(K, inst, "amp")
+        assert forced.solver == "amp" and forced.fallback == "cap"
         assert len(calls) == 1
 
     def test_uncertified_amp_result_falls_back(self, monkeypatch):
@@ -281,16 +371,19 @@ class TestAmp:
         calls = []
 
         def counting_pgd(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs)
             return pgd_solve(*args, **kwargs)
 
         monkeypatch.setattr(linear_model, "pgd_solve", counting_pgd)
         res = solve_instance(K, inst, "auto")
         assert res.solver == "pgd" and res.converged and len(calls) == 1
+        assert res.fallback == "uncertified"
+        np.testing.assert_array_equal(calls[0]["x0"], stalled.mu_hat)
         assert relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat) <= 1e-7
 
         forced = solve_instance(K, inst, "amp")
         assert forced.solver == "amp" and not forced.converged
+        assert forced.fallback == "uncertified"
         np.testing.assert_array_equal(forced.mu_hat, stalled.mu_hat)
         assert len(calls) == 1
 
@@ -304,6 +397,7 @@ class TestAmp:
         monkeypatch.setattr(linear_model, "amp_solve", no_amp)
         res = solve_instance(K, inst, "pgd")
         assert res.solver == "pgd" and res.iterations == expected.iterations
+        assert res.fallback is None
         assert res.objective == expected.objective and res.risk == expected.risk
         np.testing.assert_array_equal(res.mu_hat, expected.mu_hat)
 
