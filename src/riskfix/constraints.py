@@ -222,13 +222,16 @@ def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
 def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     """Statistical dimension of the tangent cone of K at mu0, with SE.
 
-    Estimated through the low-noise limit E err(s)/s^2 over the standard
-    Gaussian rows of ``H``, with s halving from 1e-2 until the estimate
-    moves by less than 1e-3 relative (absolute floor 1e-3); at most 60
-    steps.  It stops on the first plateau, so monotone blocks a tiny gap
-    apart (1e-6) read as one merged block.  Closed forms, which never read
-    ``H``: orthant gives n - z/2 with z the number of zero coordinates of
-    mu0; a subspace is its own tangent cone.
+    Closed forms, which never read ``H``: orthant gives n - z/2 with z the
+    number of zero coordinates of mu0; a subspace is its own tangent cone.
+    The monotone cone's tangent cone is the product of monotone cones over
+    mu0's constant blocks (exact ties; any gap splits a block), so its
+    dimension is the mean of ||Pi_T(h)||^2 over the standard Gaussian rows
+    ``h`` of ``H``, in one ``project_rows`` pass whatever the number of
+    blocks.  A constant mu0 gives ``statistical_dimension(K, H)`` bit for
+    bit.  The l1 ball goes through the low-noise limit E err(s)/s^2, with s
+    halving from 1e-2 until the estimate moves by less than 1e-3 relative
+    (absolute floor 1e-3); at most 60 steps.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0):
@@ -238,6 +241,14 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     if K.kind == "orthant":
         z = int(np.count_nonzero(np.abs(mu0) <= 1e-12))
         return K.n - z / 2.0, 0.0
+    if K.kind == "monotone_cone":
+        # Lifting block b of each row by b * (row range + 1) puts every block
+        # strictly above the one before, so PAVA never pools across blocks.
+        block = np.r_[0.0, np.cumsum(mu0[1:] > mu0[:-1])]
+        lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, block)
+        fits = project_rows(K, H + lift)
+        fits -= lift
+        return mean_se(row_sq_norms(fits))
     s = 1e-2
     prev = None
     for _ in range(60):

@@ -66,14 +66,15 @@ def eval_processes(K: ConstraintSet, mu0, sigma: float, h) -> ProcessSample:
 
 
 def process_rows(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray):
-    """Vectorized err/lrt/dof arrays for the rows of ``H``."""
-    Y = mu0 + sigma * H
+    """Vectorized err/lrt/dof arrays for the rows of ``H``; ``H`` is never written."""
+    Y = sigma * H
+    Y += mu0
     fits = project_rows(K, Y)
-    diffs = fits - mu0
-    err = row_sq_norms(diffs)
-    dof = sigma * np.einsum("ij,ij->i", diffs, H)
-    resid = Y - fits
-    lrt = sigma * sigma * row_sq_norms(H) - row_sq_norms(resid)
+    Y -= fits  # residuals
+    fits -= mu0  # differences from mu0
+    err = row_sq_norms(fits)
+    dof = sigma * np.einsum("ij,ij->i", fits, H)
+    lrt = sigma * sigma * row_sq_norms(H) - row_sq_norms(Y)
     return err, lrt, dof
 
 

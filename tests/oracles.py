@@ -7,7 +7,11 @@ supports, the divergence oracle differentiates
 numerically, and the gradient mapping takes its step from an exact
 spectral norm instead of power iteration.  The orthant fixed-point oracle
 integrates the projection error directly and solves the risk equation by
-bracketing, without the kernels G/H or the monotone iteration.
+bracketing, without the kernels G/H or the monotone iteration.  The
+monotone tangent-cone dimension is the exact sum of harmonic numbers over
+the signal's constant blocks.  ``process_rows_reference`` keeps the
+Monte Carlo process reductions as first written, one temporary per
+expression, as the bit-for-bit reference of the in-place version.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from riskfix.constraints import ConstraintSet, l1_threshold, project
+from riskfix.constraints import ConstraintSet, l1_threshold, project, project_rows, row_sq_norms
 
 
 def monotone_projection_oracle(x: np.ndarray) -> np.ndarray:
@@ -42,6 +46,30 @@ def monotone_projection_oracle(x: np.ndarray) -> np.ndarray:
         if dist < best_dist:
             best, best_dist = fit, dist
     return best
+
+
+def monotone_tangent_oracle(mu0) -> float:
+    """Exact dimension of the monotone cone's tangent cone at mu0: sum_j H_{n_j}.
+
+    The tangent cone is the product of monotone cones over the runs of
+    equal values of mu0 (sizes n_j), and the monotone cone in R^k has
+    statistical dimension H_k = 1 + 1/2 + ... + 1/k (Amelunxen, Lotz, McCoy
+    & Tropp 2014).
+    """
+    sizes = [len(list(run)) for _, run in itertools.groupby(np.asarray(mu0, dtype=float))]
+    return float(sum(sum(1.0 / i for i in range(1, k + 1)) for k in sizes))
+
+
+def process_rows_reference(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray):
+    """err, lrt and dof rows of ``y = mu0 + sigma h``, one temporary per expression."""
+    Y = mu0 + sigma * H
+    fits = project_rows(K, Y)
+    diffs = fits - mu0
+    err = row_sq_norms(diffs)
+    dof = sigma * np.einsum("ij,ij->i", diffs, H)
+    resid = Y - fits
+    lrt = sigma * sigma * row_sq_norms(H) - row_sq_norms(resid)
+    return err, lrt, dof
 
 
 def nnls_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from scipy.optimize import isotonic_regression
 
-from oracles import fd_divergence, l1_threshold_oracle, monotone_projection_oracle, near_tie
+from oracles import (
+    fd_divergence,
+    l1_threshold_oracle,
+    monotone_projection_oracle,
+    monotone_tangent_oracle,
+    near_tie,
+)
 from riskfix import constraints
 from riskfix.constraints import (
     ConstraintSet,
@@ -25,6 +31,7 @@ from riskfix.constraints import (
     tangent_dimension,
 )
 from riskfix.errors import DescriptorError, DomainError, UnsupportedKindError
+from riskfix.experiments import resolve_signal
 from riskfix.seeds import gaussian_rows
 
 HARMONIC_100 = sum(1.0 / i for i in range(1, 101))  # 5.187377517639621
@@ -534,6 +541,34 @@ class TestDimensions:
         dt, se_t = tangent_dimension(K, mu0, H)
         dk, se_k = statistical_dimension(K, H)
         assert dk <= dt + 3.0 * (se_k + se_t)
+
+    @pytest.mark.parametrize("mu0, rows", [
+        # blocks a tiny gap apart are separate blocks (a first-plateau
+        # sigma-halving read 3.55 at the 1e-6 gap)
+        (5.0 + np.repeat([0.0, 1e-6], 10), gaussian_rows(0, 500, 20)),
+        (5.0 + np.repeat([0.0, 1e-12], 10), gaussian_rows(0, 500, 20)),
+        (np.sort(np.random.default_rng(5).standard_normal(50)), gaussian_rows(6, 2000, 50)),
+        (resolve_signal("piecewise_constant:4", 300), gaussian_rows(7, 2000, 300)),
+        (resolve_signal("piecewise_constant:30", 300), gaussian_rows(7, 2000, 300)),
+        (resolve_signal("piecewise_constant:150", 300), gaussian_rows(7, 2000, 300)),
+    ], ids=["gap-1e-6", "gap-1e-12", "all-distinct", "pieces-4", "pieces-30", "pieces-150"])
+    def test_monotone_tangent_matches_block_oracle(self, mu0, rows, monkeypatch):
+        calls = []
+
+        def counting(K, Y):
+            calls.append(Y.shape)
+            return project_rows(K, Y)
+
+        monkeypatch.setattr(constraints, "project_rows", counting)
+        est, se = tangent_dimension(ConstraintSet.monotone_cone(mu0.size), mu0, rows)
+        assert abs(est - monotone_tangent_oracle(mu0)) <= 4.0 * se
+        assert calls == [rows.shape]
+
+    def test_monotone_tangent_of_constant_signal_is_delta_k(self):
+        K = ConstraintSet.monotone_cone(30)
+        H = gaussian_rows(8, 500, 30)
+        for mu0 in (np.zeros(30), np.full(30, -2.5)):
+            assert tangent_dimension(K, mu0, H) == statistical_dimension(K, H)
 
     def test_delta_monotonicity_across_pairs(self):
         rng = np.random.default_rng(18)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import process_rows_reference
 from riskfix.constraints import ConstraintSet, MonteCarloConfig
 from riskfix.errors import DomainError
 from riskfix.kernels import kernel_G, kernel_H
@@ -11,7 +12,9 @@ from riskfix.sequence import (
     mc_expectations,
     orthant_err_closed_form,
     orthant_lrt_closed_form,
+    process_rows,
 )
+from riskfix.seeds import gaussian_rows
 
 HARMONIC_100 = sum(1.0 / i for i in range(1, 101))
 
@@ -73,6 +76,22 @@ class TestEvalProcesses:
             eval_processes(K, np.array([-1.0, 0.0, 0.0]), 1.0, np.zeros(3))
         with pytest.raises(DomainError):
             eval_processes(K, np.zeros(3), 0.0, np.zeros(3))
+
+
+class TestProcessRows:
+    @pytest.mark.parametrize("kind", ["orthant", "monotone_cone", "l1_ball", "subspace"])
+    def test_bytes_match_reference_and_inputs_are_kept(self, kind):
+        rng = np.random.default_rng(71)
+        for trial in range(4):
+            K, mu0 = random_case(rng, kinds=(kind,))
+            H = gaussian_rows(72 + trial, 150, K.n)
+            before = (H.tobytes(), mu0.tobytes())
+            for sigma in (0.05, 1.0, 3.7):
+                got = process_rows(K, mu0, sigma, H)
+                want = process_rows_reference(K, mu0, sigma, H)
+                for name, a, b in zip(("err", "lrt", "dof"), got, want):
+                    assert a.tobytes() == b.tobytes(), (kind, trial, sigma, name)
+            assert (H.tobytes(), mu0.tobytes()) == before
 
 
 class TestPathwiseProperties:
