@@ -18,7 +18,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, project
 from .errors import DomainError
-from .seeds import child_rng, child_seed, mean_se
+from .seeds import child_seed, mean_se
 
 # Objectives below this are numerical zero (interpolation regime); relative
 # decrease is meaningless there.
@@ -149,8 +149,8 @@ def pgd_solve(
     projection is the only one outside the loop, which projects once per
     iteration.
 
-    FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 (100 power
-    iterations): ``x+ = Pi_K(y - s grad f(y))``, then ``y = x+ + beta (x+ - x)``,
+    FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 (exact, so
+    s <= 1/L): ``x+ = Pi_K(y - s grad f(y))``, then ``y = x+ + beta (x+ - x)``,
     restarted (momentum reset, ``y = x+``) whenever the gradient mapping
     points along the last step, ``(y - x+) . (x+ - x) > 0`` (O'Donoghue &
     Candes 2015).  ``X x`` is carried with ``x`` and ``X y`` formed by the
@@ -162,8 +162,7 @@ def pgd_solve(
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
-    smax_sq = _power_iteration_sq(X, inst.seed)
-    step = m / (smax_sq + 1e-12)
+    step = m / (np.linalg.norm(X, 2) ** 2 + 1e-12)
     kkt_tol = tol * float(np.linalg.norm(X.T @ Y)) / m
     x = y = best_mu = project(K, np.zeros(n) if x0 is None else x0).point
     Xx = Xy = X @ x
@@ -275,16 +274,3 @@ def empirical_risk(
     mean, se = mean_se(risks)
     return mean, se, risks.tolist()
 
-
-def _power_iteration_sq(X: np.ndarray, seed: int, steps: int = 100) -> float:
-    """Largest squared singular value of X by power iteration on X^T X."""
-    n = X.shape[1]
-    v = child_rng(seed, 0x5EED).standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(steps):
-        w = X.T @ (X @ v)
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.linalg.norm(X @ v) ** 2)
