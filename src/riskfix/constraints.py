@@ -261,7 +261,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
 
 
 def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
-    """Row-wise projection of an (r, n) matrix onto K (points only); ``Y`` is never written."""
+    """Row-wise projection of an (r, n) matrix onto K into a new array; ``Y`` is never written."""
     Y = np.asarray(Y, dtype=float)
     if K.kind == "orthant":
         return np.maximum(Y, 0.0)

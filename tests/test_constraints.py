@@ -542,17 +542,17 @@ class TestDimensions:
         dk, se_k = statistical_dimension(K, H)
         assert dk <= dt + 3.0 * (se_k + se_t)
 
-    @pytest.mark.parametrize("mu0, rows", [
-        # blocks a tiny gap apart are separate blocks (a first-plateau
-        # sigma-halving read 3.55 at the 1e-6 gap)
-        (5.0 + np.repeat([0.0, 1e-6], 10), gaussian_rows(0, 500, 20)),
-        (5.0 + np.repeat([0.0, 1e-12], 10), gaussian_rows(0, 500, 20)),
-        (np.sort(np.random.default_rng(5).standard_normal(50)), gaussian_rows(6, 2000, 50)),
-        (resolve_signal("piecewise_constant:4", 300), gaussian_rows(7, 2000, 300)),
-        (resolve_signal("piecewise_constant:30", 300), gaussian_rows(7, 2000, 300)),
-        (resolve_signal("piecewise_constant:150", 300), gaussian_rows(7, 2000, 300)),
+    @pytest.mark.parametrize("mu0, seed, samples", [
+        # blocks a tiny gap apart are separate blocks of the tangent cone
+        (5.0 + np.repeat([0.0, 1e-6], 10), 0, 500),
+        (5.0 + np.repeat([0.0, 1e-12], 10), 0, 500),
+        (np.sort(np.random.default_rng(5).standard_normal(50)), 6, 2000),
+        (resolve_signal("piecewise_constant:4", 300), 7, 2000),
+        (resolve_signal("piecewise_constant:30", 300), 7, 2000),
+        (resolve_signal("piecewise_constant:150", 300), 7, 2000),
     ], ids=["gap-1e-6", "gap-1e-12", "all-distinct", "pieces-4", "pieces-30", "pieces-150"])
-    def test_monotone_tangent_matches_block_oracle(self, mu0, rows, monkeypatch):
+    def test_monotone_tangent_matches_block_oracle(self, mu0, seed, samples, monkeypatch):
+        rows = gaussian_rows(seed, samples, mu0.size)
         calls = []
 
         def counting(K, Y):
