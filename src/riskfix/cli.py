@@ -19,6 +19,7 @@ from .experiments import (
     emit_report,
     get_preset,
     load_config,
+    read_vector,
     resolve_constraint,
     resolve_signal,
     run_experiment,
@@ -146,7 +147,7 @@ def _write(args, text: str) -> None:
 
 
 def cmd_project(args) -> None:
-    x = np.loadtxt(args.infile, dtype=float).reshape(-1)
+    x = read_vector(args.infile)
     K = resolve_constraint(args.constraint, x.size)
     res = project(K, x)
     point = " ".join(repr(float(v)) for v in res.point)
@@ -154,6 +155,8 @@ def cmd_project(args) -> None:
 
 
 def cmd_kernels(args) -> None:
+    if args.grid < 1:
+        raise DomainError(f"--grid must be at least 1, got {args.grid}")
     xs = np.linspace(args.x_min, args.x_max, args.grid)
     g, h = kernel_G(xs), kernel_H(xs)
     lines = ["x,G,H"]
@@ -167,6 +170,8 @@ def cmd_risk_curve(args) -> None:
         mu0 = resolve_signal(f"file:{args.mu0_file}", args.n)
     else:
         mu0 = resolve_signal(args.mu0_preset, args.n)
+    if not (args.sigma_min > 0 and args.sigma_max > 0 and args.grid >= 1):
+        raise DomainError("risk-curve needs --sigma-min > 0, --sigma-max > 0 and --grid >= 1")
     grid = np.geomspace(args.sigma_min, args.sigma_max, args.grid)
     curve = mc_expectations(K, mu0, grid, MonteCarloConfig(args.samples, _seed_of(args)))
     lines = ["sigma,err_mean,err_se,lrt_mean,lrt_se,dof_mean,dof_se"]

@@ -105,6 +105,8 @@ class ConstraintSet:
     @classmethod
     def coordinate_subspace(cls, n: int, d: int) -> "ConstraintSet":
         """Span of the first d coordinate axes."""
+        if not 1 <= d <= n:  # a slice would clamp d > n, and count d < 0 from the end
+            raise DescriptorError("subspace dimension must satisfy 1 <= d <= n")
         return cls.subspace(np.eye(n)[:, :d])
 
     @property
@@ -220,18 +222,19 @@ def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
 
 
 def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
-    """Statistical dimension of the tangent cone of K at mu0, with SE.
+    """Statistical dimension of the tangent cone T of K at mu0, with SE.
 
     Closed forms, which never read ``H``: orthant gives n - z/2 with z the
     number of zero coordinates of mu0; a subspace is its own tangent cone.
-    The monotone cone's tangent cone is the product of monotone cones over
-    mu0's constant blocks (exact ties; any gap splits a block), so its
-    dimension is the mean of ||Pi_T(h)||^2 over the standard Gaussian rows
-    ``h`` of ``H``, in one ``project_rows`` pass whatever the number of
-    blocks.  A constant mu0 gives ``statistical_dimension(K, H)`` bit for
-    bit.  The l1 ball goes through the low-noise limit E err(s)/s^2, with s
-    halving from 1e-2 until the estimate moves by less than 1e-3 relative
-    (absolute floor 1e-3); at most 60 steps.
+    Otherwise the mean of ||Pi_T(h)||^2 over the standard Gaussian rows
+    ``h`` of ``H``, in one ``project_rows`` pass of lifted rows.  Monotone
+    cone: T is the product of monotone cones over mu0's constant blocks
+    (exact ties; any gap splits a block); block b is lifted by
+    b * (row range + 1), and a constant mu0 gives ``statistical_dimension``.
+    l1 ball strictly inside, ||mu0||_1 < (1 - 1e-8) radius: T = R^n, the
+    mean of ||h||^2.  On the sphere, T = {v : <s, v> + ||v off S||_1 <= 0} with
+    S = supp mu0, s = sign mu0; each row is lifted by L s, L = 2 max|H| + 1,
+    and projected onto the ball of radius L |S|.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0):
@@ -246,18 +249,17 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         # strictly above the one before, so PAVA never pools across blocks.
         block = np.r_[0.0, np.cumsum(mu0[1:] > mu0[:-1])]
         lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, block)
-        fits = project_rows(K, H + lift)
-        fits -= lift
-        return mean_se(row_sq_norms(fits))
-    s = 1e-2
-    prev = None
-    for _ in range(60):
-        est, se = mean_se(row_sq_norms(project_rows(K, mu0 + s * H) - mu0) / s**2)
-        if prev is not None and abs(est - prev) <= 1e-3 * max(abs(est), 1e-3):
-            break
-        prev = est
-        s *= 0.5
-    return est, se
+        K_T = K
+    elif np.abs(mu0).sum() < (1.0 - 1e-8) * K.radius:
+        return mean_se(row_sq_norms(H))
+    else:
+        # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
+        # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
+        L = 2.0 * np.abs(H).max() + 1.0
+        lift, K_T = L * np.sign(mu0), ConstraintSet.l1_ball(K.n, L * np.count_nonzero(mu0))
+    fits = project_rows(K_T, H + lift)
+    fits -= lift
+    return mean_se(row_sq_norms(fits))
 
 
 def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:

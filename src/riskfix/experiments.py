@@ -145,11 +145,11 @@ def resolve_constraint(spec: str, n: int) -> ConstraintSet:
     if kind == "l1_ball":
         if not param:
             raise ConfigError("l1_ball needs a radius, e.g. l1_ball:2.5")
-        return ConstraintSet.l1_ball(n, float(param))
+        return ConstraintSet.l1_ball(n, _number(float, param, "l1_ball radius"))
     if kind == "subspace":
         if not param:
             raise ConfigError("subspace needs a dimension, e.g. subspace:10")
-        return ConstraintSet.coordinate_subspace(n, int(param))
+        return ConstraintSet.coordinate_subspace(n, _number(int, param, "subspace dimension"))
     raise ConfigError(f"unknown constraint spec {spec!r}")
 
 
@@ -166,9 +166,9 @@ def resolve_signal(spec: str, n: int):
     if spec == "quadratic":
         return (np.arange(1, n + 1) / n) ** 2
     if spec.startswith("constant:"):
-        return float(spec.split(":", 1)[1]) * np.ones(n)
+        return _number(float, spec.split(":", 1)[1], "constant signal") * np.ones(n)
     if spec.startswith("piecewise_constant:"):
-        k = int(spec.split(":", 1)[1])
+        k = _number(int, spec.split(":", 1)[1], "piecewise_constant piece count")
         if not 1 <= k <= n:
             raise ConfigError(f"piecewise_constant needs 1 <= k <= n, got {k}")
         levels = np.linspace(0.0, 1.0, k) if k > 1 else np.zeros(1)
@@ -177,7 +177,7 @@ def resolve_signal(spec: str, n: int):
         return parse_prior(spec[len("atoms="):])
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        vec = np.loadtxt(path, dtype=float).reshape(-1)
+        vec = read_vector(path)
         if vec.size != n:
             raise ConfigError(f"{path}: expected {n} values, found {vec.size}")
         return vec
@@ -191,8 +191,25 @@ def parse_prior(spec: str) -> DiscretePrior:
         value, _, weight = chunk.partition(":")
         if not weight:
             raise ConfigError(f"prior atom {chunk!r} must look like value:weight")
-        atoms.append((float(value), float(weight)))
+        atoms.append((_number(float, value, "prior atom value"),
+                      _number(float, weight, "prior atom weight")))
     return DiscretePrior(atoms)
+
+
+def read_vector(path: str) -> np.ndarray:
+    """The whitespace-separated numbers of a text file, as one flat vector."""
+    try:
+        return np.loadtxt(path, dtype=float).reshape(-1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _number(convert, text: str, what: str):
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {text!r}") from None
 
 
 def run_experiment(config: ExperimentConfig):

@@ -9,7 +9,8 @@ spectral norm instead of power iteration.  The orthant fixed-point oracle
 integrates the projection error directly and solves the risk equation by
 bracketing, without the kernels G/H or the monotone iteration.  The
 monotone tangent-cone dimension is the exact sum of harmonic numbers over
-the signal's constant blocks.  ``process_rows_reference`` keeps the
+the signal's constant blocks; the l1 ball's tangent-cone projection is a
+one-dimensional minimization per row, solved by Brent's method.  ``process_rows_reference`` keeps the
 Monte Carlo process reductions as first written, one temporary per
 expression, as the bit-for-bit reference of the in-place version.
 """
@@ -58,6 +59,32 @@ def monotone_tangent_oracle(mu0) -> float:
     """
     sizes = [len(list(run)) for _, run in itertools.groupby(np.asarray(mu0, dtype=float))]
     return float(sum(sum(1.0 / i for i in range(1, k + 1)) for k in sizes))
+
+
+def l1_tangent_oracle(mu0, H: np.ndarray) -> np.ndarray:
+    """Per-row ||Pi_T(h)||^2 for the tangent cone T of the l1 ball at mu0 on its sphere.
+
+    With S = supp mu0 and s = sign mu0, the polar cone of T is
+    {tau g : tau >= 0, g_S = s_S, |g_i| <= 1 off S}, so by Moreau's
+    decomposition ||Pi_T(h)||^2 = min_{tau >= 0} f(tau) with
+    f(tau) = sum_S (h_i - tau s_i)^2 + sum_{off S} (|h_i| - tau)_+^2.
+    f is convex; its derivative is continuous, increasing, nonnegative at
+    tau = max |h_i|, and its root (or tau = 0) is found by Brent's method.
+    """
+    mu0 = np.asarray(mu0, dtype=float)
+    on = mu0 != 0.0
+    s = np.sign(mu0[on])
+    out = np.empty(len(H))
+    for i, h in enumerate(np.asarray(H, dtype=float)):
+        inner, outer = h[on], np.abs(h[~on])
+
+        def slope(tau):
+            return tau * s.size - float(s @ inner) - float(np.maximum(outer - tau, 0.0).sum())
+
+        top = float(np.abs(h).max())
+        tau = 0.0 if slope(0.0) >= 0.0 else brentq(slope, 0.0, top, xtol=1e-15)
+        out[i] = float(((inner - tau * s) ** 2).sum() + (np.maximum(outer - tau, 0.0) ** 2).sum())
+    return out
 
 
 def process_rows_reference(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray):

@@ -66,6 +66,42 @@ class TestExitCodes:
         assert run(["experiment", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    FIXED_POINT = ["fixed-point", "--n", "5", "--m", "10"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["project", "--constraint", "l1_ball:abc", "--in", "{good}"], "l1_ball radius"),
+        (FIXED_POINT + ["--constraint", "subspace:abc", "--signal", "zero"],
+         "subspace dimension"),
+        (FIXED_POINT + ["--constraint", "orthant", "--signal", "constant:abc"],
+         "constant signal"),
+        (FIXED_POINT + ["--constraint", "monotone_cone", "--signal", "piecewise_constant:x"],
+         "piecewise_constant piece count"),
+        (FIXED_POINT + ["--constraint", "orthant", "--signal", "atoms=1:x"],
+         "prior atom weight"),
+        (["project", "--constraint", "orthant", "--in", "{bad}"], "could not convert"),
+        (FIXED_POINT + ["--constraint", "orthant", "--signal", "file:{bad}"],
+         "could not convert"),
+    ], ids=["l1_ball-radius", "subspace-dim", "constant", "piecewise_constant", "atoms",
+            "project-in-file", "signal-file"])
+    def test_malformed_number_is_two(self, tmp_path, capsys, argv, message):
+        files = {"good": tmp_path / "good.txt", "bad": tmp_path / "bad.txt"}
+        files["good"].write_text("1.0 2.0\n")
+        files["bad"].write_text("1.0 abc 2.0 0.5 1.5\n")
+        assert run([arg.format(**files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["risk-curve", "--constraint", "orthant", "--n", "5", "--mu0-preset", "zero",
+         "--sigma-min", "0"],
+        ["kernels", "--grid", "-3"],
+        ["project", "--constraint", "subspace:3", "--in", "{x}"],
+        ["project", "--constraint", "subspace:-1", "--in", "{x}"],
+    ], ids=["sigma-min-0", "grid-negative", "subspace-above-n", "subspace-negative"])
+    def test_out_of_range_number_is_one(self, vector_file, capsys, argv):
+        assert run([arg.format(x=vector_file) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     SIMULATE = ["simulate", "--constraint", "orthant", "--n", "5", "--m", "10",
                 "--signal", "zero", "--replicates", "10"]
 

@@ -12,6 +12,7 @@ from scipy.optimize import isotonic_regression
 
 from oracles import (
     fd_divergence,
+    l1_tangent_oracle,
     l1_threshold_oracle,
     monotone_projection_oracle,
     monotone_tangent_oracle,
@@ -27,12 +28,13 @@ from riskfix.constraints import (
     polar_project,
     project,
     project_rows,
+    row_sq_norms,
     statistical_dimension,
     tangent_dimension,
 )
 from riskfix.errors import DescriptorError, DomainError, UnsupportedKindError
 from riskfix.experiments import resolve_signal
-from riskfix.seeds import gaussian_rows
+from riskfix.seeds import gaussian_rows, mean_se
 
 HARMONIC_100 = sum(1.0 / i for i in range(1, 101))  # 5.187377517639621
 
@@ -84,6 +86,11 @@ class TestDescriptors:
         ok = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
         K = ConstraintSet.subspace(ok)
         assert K.subspace_dim == 3 and K.is_cone
+
+    @pytest.mark.parametrize("d", [0, 6, -1])
+    def test_coordinate_subspace_dimension_out_of_range(self, d):
+        with pytest.raises(DescriptorError, match="1 <= d <= n"):
+            ConstraintSet.coordinate_subspace(5, d)
 
     def test_non_finite_input_rejected(self):
         K = ConstraintSet.orthant(3)
@@ -569,6 +576,53 @@ class TestDimensions:
         H = gaussian_rows(8, 500, 30)
         for mu0 in (np.zeros(30), np.full(30, -2.5)):
             assert tangent_dimension(K, mu0, H) == statistical_dimension(K, H)
+
+    @pytest.mark.parametrize("mu0, seed, reference", [
+        # the l1-grid signal on the sphere of radius 50.5: S is everything, so
+        # T is a half-space of dimension n - 1/2
+        (resolve_signal("linear", 100), 0, 99.5),
+        (np.r_[3.0, -1.5, 0.5, -0.25, np.zeros(26)][np.random.default_rng(9).permutation(30)],
+         9, None),
+        # an entry of 1e-6 is still in the support (the s-halving loop read 3.56)
+        (np.r_[5.0 - 1e-6, 1e-6, np.zeros(18)], 0, 5.96),
+    ], ids=["l1-grid", "mixed-signs", "entry-1e-6"])
+    def test_l1_tangent_matches_oracle(self, mu0, seed, reference, monkeypatch):
+        rows = gaussian_rows(seed, 2000, mu0.size)
+        calls = []
+
+        def counting(K, Y):
+            calls.append(Y.shape)
+            return project_rows(K, Y)
+
+        monkeypatch.setattr(constraints, "project_rows", counting)
+        K = ConstraintSet.l1_ball(mu0.size, np.abs(mu0).sum())
+        est, se = tangent_dimension(K, mu0, rows)
+        assert calls == [rows.shape]
+        assert est == pytest.approx(l1_tangent_oracle(mu0, rows).mean(), rel=1e-9, abs=0.0)
+        if reference is not None:
+            assert abs(est - reference) <= 4.0 * se
+
+    def test_l1_tangent_inside_the_ball_is_the_row_mean(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("project_rows called")
+
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
+        H = gaussian_rows(10, 500, 20)
+        K = ConstraintSet.l1_ball(20, 5.0)
+        for mu0 in (np.zeros(20), np.linspace(-0.4, 0.4, 20)):
+            assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
+
+    def test_l1_tangent_a_few_ulps_inside_reads_the_sphere(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(30) * (rng.random(30) < 0.3)
+        radius = 7.3
+        mu0 = v * (radius / np.abs(v).sum()) * (1.0 - 8.0 * np.finfo(float).eps)
+        short = np.abs(mu0).sum()
+        assert radius * (1.0 - 1e-14) < short < radius
+        H = gaussian_rows(11, 500, 30)
+        sphere = tangent_dimension(ConstraintSet.l1_ball(30, short), mu0, H)
+        assert tangent_dimension(ConstraintSet.l1_ball(30, radius), mu0, H) == sphere
+        assert sphere[0] < mean_se(row_sq_norms(H))[0] - 10.0
 
     def test_delta_monotonicity_across_pairs(self):
         rng = np.random.default_rng(18)

@@ -166,6 +166,23 @@ class TestSolveMonteCarlo:
         assert lo - 3 * sol.delta_K_se <= sol.r_sq <= hi + 3 * sol.delta_T_se
         assert sol.r2_holds
 
+    @pytest.mark.parametrize("mu0, m, sigma2", [
+        (np.r_[2.0, -1.0, 0.5, -0.5, np.zeros(46)], 40, 1e-4),
+        # at this noise level the 1e-6 entry counts; the s-halving loop's
+        # delta_T (3.56) put the bound at 0.42, below the root's 0.99
+        (np.r_[5.0 - 1e-6, 1e-6, np.zeros(18)], 12, 1e-14),
+    ], ids=["mixed-signs", "entry-1e-6"])
+    def test_l1_sphere_root_is_below_its_delta_t_bound(self, mu0, m, sigma2):
+        # err(s)/s^2 is nonincreasing in s on every row, with limit
+        # ||Pi_T(h)||^2, so the Monte Carlo root obeys the bound built from
+        # the same rows' delta_T estimate, without standard-error slack
+        n = mu0.size
+        problem = FixedPointProblem(ConstraintSet.l1_ball(n, np.abs(mu0).sum()), mu0, m, n,
+                                    sigma2, MonteCarloConfig(samples=2000, seed=0))
+        sol = quiet_solve(problem)
+        assert sol.status == "converged" and m > sol.delta_T
+        assert sol.r_sq / sigma2 <= sol.delta_T / (m - sol.delta_T) + 1e-9
+
     def test_mc_restart_consistency(self):
         n = 40
         K = ConstraintSet.monotone_cone(n)

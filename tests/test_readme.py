@@ -1,16 +1,18 @@
 """The README's Python and CLI examples call the package with arguments it accepts.
 
-The ``python`` blocks are parsed, not run: every ``rf.<name>(...)`` call has
-its keyword names and positional count bound against the signature of the
-attribute it names.  Every ``riskfix ...`` command line in the ``bash``
-blocks is parsed by the CLI's own argument parser, not run.  A renamed or
-dropped parameter or flag fails here until the README follows.
+In the ``python`` blocks, every ``rf.<name>(...)`` call has its keyword
+names and positional count bound against the signature of the attribute it
+names; the blocks are then run in order, in one namespace, with warnings
+silenced.  Every ``riskfix ...`` command line in the ``bash`` blocks is
+parsed by the CLI's own argument parser, not run.  A renamed or dropped
+parameter or flag fails here until the README follows.
 """
 
 import ast
 import inspect
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import riskfix as rf
@@ -33,10 +35,13 @@ def _rf_attribute(node):
     return obj
 
 
+def _blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
 def test_readme_calls_bind_to_signatures():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     checked = []
-    for block in blocks:
+    for block in _blocks("python"):
         for node in ast.walk(ast.parse(block)):
             if not isinstance(node, ast.Call):
                 continue
@@ -49,10 +54,18 @@ def test_readme_calls_bind_to_signatures():
     assert "rf.FixedPointProblem" in checked and len(checked) >= 10, checked
 
 
+def test_readme_python_runs():
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for block in _blocks("python"):
+            exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["sol"].status == "converged" and namespace["se"] > 0.0
+
+
 def test_readme_commands_parse():
-    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     commands = []
-    for block in blocks:
+    for block in _blocks("bash"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             if words[:1] == ["riskfix"]:
