@@ -4,10 +4,11 @@
 least squares program is solved by an AMP iteration whose Onsager term uses
 the projection divergence (the isotonic piece count generalized to every
 supported constraint).  The reference solver and fallback is accelerated
-projected gradient (FISTA with gradient restart), stopped on the
-gradient-mapping (KKT) residual and returning its best iterate; an AMP result
-counts as converged only if it passes the same test, and a rejected one
-starts the fallback unless AMP blew up.  Empirical risk aggregates
+projected gradient (FISTA with gradient restart) that polishes once per face
+by least squares on the face's affine hull, stopped on the gradient-mapping
+(KKT) residual and returning its best iterate; an AMP result counts as
+converged only if it passes the same test, and a rejected one starts the
+fallback unless AMP blew up.  Empirical risk aggregates
 independent replicates with per-replicate child seeds.
 """
 
@@ -155,6 +156,15 @@ def pgd_solve(
     points along the last step, ``(y - x+) . (x+ - x) > 0`` (O'Donoghue &
     Candes 2015).  ``X x`` is carried with ``x`` and ``X y`` formed by the
     same combination, so an iteration costs two products with X or X^T.
+
+    Polish: projected gradient finds the minimizer's face long before it
+    converges (Nutini, Schmidt & Hare 2019).  When ``x+`` lies on the same
+    face as ``x`` (``_face``) and that face has not been tried, ``y`` becomes
+    the least-squares minimizer over the face's affine hull and momentum
+    resets, as OSQP's solution polishing does (Stellato et al. 2020); only
+    if that minimizer is unique and stays in the face (``_face_minimizer``).
+    It projects nothing: the next iteration's stop test certifies it.
+
     Stops when the gradient mapping ``||y - x+|| / s`` (the KKT residual) is
     at most ``tol * ||X^T Y|| / m``, or the objective reaches numerical zero.
     Returns the best iterate, so the objective is nonincreasing in
@@ -169,6 +179,7 @@ def pgd_solve(
     resid = Y - Xx
     best_f = float(resid @ resid) / (2.0 * m)
     t = 1.0
+    face, tried = _face(K, x), set()
     converged = False
     iterations = max_iter
     for k in range(max_iter):
@@ -184,7 +195,14 @@ def pgd_solve(
             iterations = k + 1
             break
         move = x_new - x
-        if mapping @ move > 0.0:
+        new_face = _face(K, x_new)
+        polish = None
+        if new_face == face and new_face not in tried:
+            tried.add(new_face)
+            polish = _face_minimizer(K, X, Y, x_new)
+        if polish is not None:
+            t, (y, Xy) = 1.0, polish
+        elif mapping @ move > 0.0:
             t, y, Xy = 1.0, x_new, Xx_new
         else:
             t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -192,7 +210,7 @@ def pgd_solve(
             y = x_new + beta * move
             Xy = Xx_new + beta * (Xx_new - Xx)
             t = t_new
-        x, Xx = x_new, Xx_new
+        x, Xx, face = x_new, Xx_new, new_face
     return SolverResult(
         mu_hat=best_mu,
         objective=2.0 * best_f,
@@ -201,6 +219,82 @@ def pgd_solve(
         converged=converged,
         risk=float(np.linalg.norm(best_mu - inst.mu0) ** 2) / n,
     )
+
+
+def _face(K: ConstraintSet, x: np.ndarray) -> bytes:
+    """Names the face of K whose relative interior holds x: the positive
+    support (orthant), the block starts (monotone cone), the signed support on
+    the l1 sphere, or b"" for the ball's interior and for a subspace."""
+    if K.kind == "orthant":
+        return (x > 0.0).tobytes()
+    if K.kind == "monotone_cone":
+        return (x[1:] > x[:-1]).tobytes()
+    if K.kind == "l1_ball" and _on_sphere(K, x):
+        return np.sign(x).tobytes()
+    return b""
+
+
+def _on_sphere(K: ConstraintSet, x: np.ndarray) -> bool:
+    return float(np.abs(x).sum()) >= (1.0 - 1e-12) * K.radius
+
+
+def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarray):
+    """``(z, X z)`` for the minimizer z of ||Y - X z|| over the affine hull of
+    x's face (see ``_face``), or None unless z is unique (face dimension at
+    most m) and stays in the face: z > 0 on the support, strictly increasing
+    blocks, the same signs on the sphere, or ||z||_1 < radius inside.
+
+    The face's columns A (X's support columns, block sums, or X times the
+    basis) give the normal equations A^T A c = A^T Y, bordered by s^T c = R
+    on the l1 sphere; LU solves them, and lstsq only if they are singular.
+    """
+    m, n = X.shape
+    signs = None
+    if K.kind == "monotone_cone":
+        starts = np.append(0, np.flatnonzero(x[1:] > x[:-1]) + 1)
+        A = np.add.reduceat(X, starts, axis=1)
+    elif K.kind == "subspace":
+        A = X @ K.basis
+    else:
+        if K.kind == "orthant":
+            cols = np.flatnonzero(x > 0.0)
+        elif _on_sphere(K, x):
+            cols = np.flatnonzero(x)
+            signs = np.sign(x[cols])
+        else:
+            cols = np.arange(n)
+        A = X[:, cols]
+    p = A.shape[1]
+    if p - (signs is not None) > m:
+        return None
+    G, b = A.T @ A, A.T @ Y
+    if signs is not None:
+        G, gram = np.zeros((p + 1, p + 1)), G
+        G[:p, :p] = gram
+        G[p, :p] = G[:p, p] = signs
+        b = np.append(b, K.radius)
+    try:
+        c = np.linalg.solve(G, b)[:p]
+    except np.linalg.LinAlgError:
+        c = np.linalg.lstsq(G, b, rcond=None)[0][:p]
+    if K.kind == "orthant":
+        inside = np.all(c > 0.0)
+    elif K.kind == "monotone_cone":
+        inside = np.all(c[1:] > c[:-1])
+    elif signs is not None:
+        inside = np.all(signs * c > 0.0)
+    else:
+        inside = K.kind == "subspace" or float(np.abs(c).sum()) < K.radius
+    if not inside:
+        return None
+    if K.kind == "monotone_cone":
+        z = np.repeat(c, np.diff(np.append(starts, n)))
+    elif K.kind == "subspace":
+        z = K.basis @ c
+    else:
+        z = np.zeros(n)
+        z[cols] = c
+    return z, A @ c
 
 
 def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = "auto") -> SolverResult:
@@ -245,6 +339,8 @@ def run_replicates(
     solver_choice: str = "auto",
 ):
     """Independent instances with child seeds; list of SolverResult in order."""
+    if replicates < 1:
+        raise DomainError(f"replicates must be at least 1, got {replicates}")
     mu0 = np.asarray(mu0, dtype=float)
     results = []
     for i in range(replicates):

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they certify: the monotone
 projection oracle enumerates active sets instead of pooling, the l1
-threshold oracle bisects instead of sorting, the NNLS oracle enumerates
-supports, the divergence oracle differentiates
+threshold oracle bisects instead of sorting, the NNLS and l1 least-squares
+oracles enumerate supports (and signs), the monotone least-squares oracle
+runs scipy's bounded least squares on increments, the divergence oracle differentiates
 numerically, and the gradient mapping takes its step from an exact
 spectral norm instead of power iteration.  The orthant fixed-point oracle
 integrates the projection error directly and solves the risk equation by
@@ -20,7 +21,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.linalg import null_space
+from scipy.optimize import brentq, lsq_linear
 from scipy.stats import norm
 
 from riskfix.constraints import ConstraintSet, l1_threshold, project, project_rows, row_sq_norms
@@ -116,6 +118,61 @@ def nnls_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if obj < best_obj:
             best, best_obj = mu, obj
     return best
+
+
+def l1_lsq_oracle(X: np.ndarray, Y: np.ndarray, radius: float) -> np.ndarray:
+    """Exhaustive least squares over the l1 ball of ``radius``, for tiny n.
+
+    A unique minimizer either lies inside, where it is the unconstrained
+    least-squares solution, or on the sphere in the relative interior of the
+    face with support S and signs s, where it minimizes over the affine set
+    {z : z off S = 0, s^T z = radius}.  That set is parametrized as
+    radius * s / |S| plus the null space of s^T, and solved by lstsq; the
+    candidate with the smallest objective among those that keep their face
+    (signs s on S) wins.
+    """
+    n = X.shape[1]
+    best, best_obj = None, np.inf
+
+    def consider(mu):
+        nonlocal best, best_obj
+        obj = float(np.linalg.norm(Y - X @ mu) ** 2)
+        if obj < best_obj:
+            best, best_obj = mu, obj
+
+    inside, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    if np.abs(inside).sum() < radius:
+        consider(inside)
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            cols = list(support)
+            for signs in itertools.product((-1.0, 1.0), repeat=k):
+                s = np.array(signs)
+                base = radius * s / k
+                N = null_space(s[None, :])
+                z = base
+                if N.shape[1]:
+                    w, *_ = np.linalg.lstsq(X[:, cols] @ N, Y - X[:, cols] @ base, rcond=None)
+                    z = base + N @ w
+                if np.all(s * z > 0.0):
+                    mu = np.zeros(n)
+                    mu[cols] = z
+                    consider(mu)
+    return best
+
+
+def monotone_lsq_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Least squares over the monotone cone by bounded least squares on increments.
+
+    mu = c 1 + cumsum([0, z]) with c free and z >= 0 maps onto the
+    nondecreasing vectors, so scipy's bounded-variable least squares (BVLS,
+    an active-set method) on (c, z) gives the minimizer.
+    """
+    n = X.shape[1]
+    T = np.tril(np.ones((n, n)))  # column 0: the constant; column j: a step at j
+    bounds = (np.r_[-np.inf, np.zeros(n - 1)], np.full(n, np.inf))
+    fit = lsq_linear(X @ T, Y, bounds=bounds, method="bvls", tol=1e-15)
+    return T @ fit.x
 
 
 def relative_gradient_mapping(

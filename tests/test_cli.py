@@ -105,6 +105,11 @@ class TestExitCodes:
     SIMULATE = ["simulate", "--constraint", "orthant", "--n", "5", "--m", "10",
                 "--signal", "zero", "--replicates", "10"]
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_no_replicates_is_one(self, capsys, count):
+        assert run(self.SIMULATE + ["--replicates", count]) == 1
+        assert "replicates must be at least 1" in capsys.readouterr().err
+
     def test_negative_seed_is_two(self, capsys):
         assert run(self.SIMULATE + ["--seed", "-1"]) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err

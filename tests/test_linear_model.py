@@ -3,7 +3,9 @@
 Independent oracles for PGD (tests/oracles.py and scipy): at n = 3 on the
 orthant, enumerate all support patterns, solve each restricted least
 squares and keep the feasible candidate with the smallest objective; at
-n = 50, the exact active-set NNLS of ``scipy.optimize.nnls``; for every
+n = 50, the exact active-set NNLS of ``scipy.optimize.nnls``; on the l1
+ball at n <= 6, the same enumeration over supports and signs; on the
+monotone cone, scipy's bounded least squares on increments; for every
 kind, the gradient mapping at the returned point.
 """
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from oracles import nnls_oracle, relative_gradient_mapping
+from oracles import l1_lsq_oracle, monotone_lsq_oracle, nnls_oracle, relative_gradient_mapping
 from riskfix.constraints import ConstraintSet, project
 from riskfix.errors import DomainError
 from riskfix.fixed_point import nnls_solve
@@ -80,11 +82,37 @@ class TestPgd:
             np.testing.assert_allclose(res.mu_hat, oracle, atol=1e-6)
 
     def test_against_exact_nnls(self):
+        # the polish step lands on the active-set minimizer itself
         K = ConstraintSet.orthant(50)
         for inst in figure2_left_m60(10):
             exact, _ = nnls(inst.X, inst.Y)
             res = pgd_solve(K, inst)
-            assert np.linalg.norm(res.mu_hat - exact) <= 1e-5
+            assert np.linalg.norm(res.mu_hat - exact) <= 1e-10
+
+    @pytest.mark.parametrize("n, m, radius", [(6, 4, 1.0), (5, 3, 2.0), (6, 6, 1.5),
+                                              (6, 10, 1.0), (6, 10, 50.0)])
+    def test_against_l1_enumeration_oracle(self, n, m, radius):
+        # on the sphere (m < n too), and inside the ball at radius 50
+        rng = np.random.default_rng(n * m)
+        K = ConstraintSet.l1_ball(n, radius)
+        for trial in range(8):
+            mu0 = rng.standard_normal(n)
+            mu0 *= 0.8 * radius / np.abs(mu0).sum()
+            inst = generate_instance(m, n, mu0, 1.0, seed=int(rng.integers(1 << 31)))
+            res = pgd_solve(K, inst)
+            oracle = l1_lsq_oracle(inst.X, inst.Y, radius)
+            assert res.converged and np.linalg.norm(res.mu_hat - oracle) <= 1e-10, trial
+
+    @pytest.mark.parametrize("n, m", [(10, 30), (8, 8), (12, 40)])
+    def test_against_monotone_increment_oracle(self, n, m):
+        rng = np.random.default_rng(n * m)
+        K = ConstraintSet.monotone_cone(n)
+        for trial in range(8):
+            mu0 = np.sort(rng.standard_normal(n))
+            inst = generate_instance(m, n, mu0, 1.0, seed=int(rng.integers(1 << 31)))
+            res = pgd_solve(K, inst)
+            oracle = monotone_lsq_oracle(inst.X, inst.Y)
+            assert res.converged and np.linalg.norm(res.mu_hat - oracle) <= 1e-10, trial
 
     def test_converged_means_kkt_certified(self):
         # converged must certify mu_hat itself, not the extrapolated point;
@@ -132,15 +160,15 @@ class TestPgd:
             assert np.linalg.norm(res.mu_hat - exact) <= 1e-12
 
     def test_warm_fallback_iteration_budget(self):
-        # deterministic counters on the auto path (1,942 and 1,614): starting
-        # the fallback at AMP's capped iterate about halves the cold start's
-        # 3,319 and 3,214
+        # deterministic counters on the auto path (29 and 176): from AMP's
+        # capped iterate most fallbacks sit on the minimizer's face, so one
+        # polish step and one certifying iteration finish them
         cases = [
-            (ConstraintSet.orthant(50), figure2_left_m60(10), 2_500),
+            (ConstraintSet.orthant(50), figure2_left_m60(10), 35),
             (ConstraintSet.l1_ball(100, 50.5), [
                 generate_instance(60, 100, np.arange(1, 101) / 100, 1.0, seed=child_seed(2, i))
                 for i in range(10)
-            ], 2_000),
+            ], 200),
         ]
         for K, instances, budget in cases:
             results = [solve_instance(K, inst, "auto") for inst in instances]
@@ -200,7 +228,7 @@ class TestPgd:
 
 class TestProjectionCount:
     """AMP projects once per iteration and PGD once more, before its loop,
-    whether it starts cold or from ``x0``.
+    whether it starts cold or from ``x0``; PGD's polish step projects nothing.
 
     perfbench's tracer reads solver iteration counts from these calls, so the
     count must hold converged or capped, on every kind the solvers serve.
@@ -217,23 +245,38 @@ class TestProjectionCount:
     )
     @pytest.mark.parametrize("max_iter", [None, 4], ids=["converged", "capped"])
     def test_one_projection_per_iteration(self, monkeypatch, K, m, mu0, max_iter):
-        calls = []
+        calls, polishes = [], []
+        face_minimizer = linear_model._face_minimizer
 
         def counting_project(K, x):
             calls.append(1)
             return project(K, x)
 
+        def counting_polish(*args):
+            polish = face_minimizer(*args)
+            polishes.append(polish is not None)
+            return polish
+
         monkeypatch.setattr(linear_model, "project", counting_project)
+        monkeypatch.setattr(linear_model, "_face_minimizer", counting_polish)
         inst = generate_instance(m, K.n, mu0, 1.0, seed=child_seed(40, 0))
         budget = {} if max_iter is None else {"max_iter": max_iter}
-        warm = functools.partial(pgd_solve, x0=mu0)  # a warm start projects once too
+        # a warm start projects once too.  At mu0 it lands on the minimizer's
+        # face, where a polish step fires; capped, it starts far out on a
+        # wrong face (every other coordinate zeroed), so 4 iterations cannot
+        # finish it.
+        x0 = mu0 if max_iter is None else 10.0 * mu0 * (np.arange(K.n) % 2)
+        warm = functools.partial(pgd_solve, x0=x0)
         for solve, extra in ((amp_solve, 0), (pgd_solve, 1), (warm, 1)):
             calls.clear()
+            polishes.clear()
             res = solve(K, inst, **budget)
             assert res.converged == (max_iter is None)
             if max_iter is not None:
                 assert res.iterations == max_iter
             assert len(calls) == res.iterations + extra
+        if max_iter is None:
+            assert any(polishes)  # in the warm run
 
 
 class TestAmp:
