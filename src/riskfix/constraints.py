@@ -4,8 +4,8 @@ Four set kinds are implemented: the non-negative orthant, the monotone
 (isotonic) cone, the l1 ball, and a linear subspace given by an orthonormal
 basis.  Each set knows its Euclidean projection, the a.e. divergence
 (trace of the projection Jacobian, the degrees-of-freedom count), the polar
-decomposition for cone kinds, and Monte Carlo estimators of its statistical
-dimension and of the tangent-cone dimension at a feasible point.
+decomposition for cone kinds, the face holding a point, and Monte Carlo
+estimators of its statistical dimension and of the tangent-cone dimension.
 
 All operations are pure; Monte Carlo estimators average over rows from
 ``seeds.gaussian_rows`` (row ``i`` from a child seed of ``(seed, i)``) and
@@ -224,42 +224,77 @@ def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
 def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     """Statistical dimension of the tangent cone T of K at mu0, with SE.
 
-    Closed forms, which never read ``H``: orthant gives n - z/2 with z the
-    number of zero coordinates of mu0; a subspace is its own tangent cone.
+    Closed forms, which never read ``H``: orthant gives (n + p)/2 with p the
+    number of positive coordinates of mu0; a subspace is its own tangent cone.
     Otherwise the mean of ||Pi_T(h)||^2 over the standard Gaussian rows
     ``h`` of ``H``, in one ``project_rows`` pass of lifted rows.  Monotone
     cone: T is the product of monotone cones over mu0's constant blocks
     (exact ties; any gap splits a block); block b is lifted by
     b * (row range + 1), and a constant mu0 gives ``statistical_dimension``.
-    l1 ball strictly inside, ||mu0||_1 < (1 - 1e-8) radius: T = R^n, the
-    mean of ||h||^2.  On the sphere, T = {v : <s, v> + ||v off S||_1 <= 0} with
-    S = supp mu0, s = sign mu0; each row is lifted by L s, L = 2 max|H| + 1,
-    and projected onto the ball of radius L |S|.
+    Blocks, support and sphere test are ``face_span``'s.  l1 ball off the
+    sphere: T = R^n, the mean of ||h||^2.  On the sphere,
+    T = {v : <s, v> + ||v off S||_1 <= 0} with S = supp mu0, s = sign mu0;
+    each row is lifted by L s, L = 2 max|H| + 1, and projected onto the ball
+    of radius L |S|.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0):
         raise DomainError("mu0 must belong to K")
     if K.kind == "subspace":
         return float(K.subspace_dim), 0.0
+    B, s = face_span(K, mu0)
     if K.kind == "orthant":
-        z = int(np.count_nonzero(np.abs(mu0) <= 1e-12))
-        return K.n - z / 2.0, 0.0
+        return (K.n + B.shape[1]) / 2.0, 0.0
     if K.kind == "monotone_cone":
         # Lifting block b of each row by b * (row range + 1) puts every block
         # strictly above the one before, so PAVA never pools across blocks.
-        block = np.r_[0.0, np.cumsum(mu0[1:] > mu0[:-1])]
-        lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, block)
+        lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, B @ np.arange(B.shape[1]))
         K_T = K
-    elif np.abs(mu0).sum() < (1.0 - 1e-8) * K.radius:
+    elif s is None:
         return mean_se(row_sq_norms(H))
     else:
         # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
         # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
         L = 2.0 * np.abs(H).max() + 1.0
-        lift, K_T = L * np.sign(mu0), ConstraintSet.l1_ball(K.n, L * np.count_nonzero(mu0))
+        lift, K_T = L * (B @ s), ConstraintSet.l1_ball(K.n, L * s.size)
     fits = project_rows(K_T, H + lift)
     fits -= lift
     return mean_se(row_sq_norms(fits))
+
+
+def face(K: ConstraintSet, x: np.ndarray) -> bytes:
+    """Key of the face of K whose relative interior holds x: the positive support
+    (orthant), the block starts (monotone cone), the signed support on the l1
+    sphere, ||x||_1 >= (1 - 1e-12) radius, or b"" (l1 interior, subspace)."""
+    if K.kind == "orthant":
+        return (x > 0.0).tobytes()
+    if K.kind == "monotone_cone":
+        return (x[1:] > x[:-1]).tobytes()
+    if K.kind == "l1_ball" and _on_sphere(K, x):
+        return np.sign(x).tobytes()
+    return b""
+
+
+def face_span(K: ConstraintSet, x: np.ndarray):
+    """``(B, s)``: x's face spans {B c : s . c = radius}, with s = sign of x on
+    its support on the l1 sphere, else None.  B is unit columns on the positive
+    support (orthant) or the support (l1 sphere), block indicators (monotone
+    cone), the subspace basis, or the identity (inside the l1 ball)."""
+    if K.kind == "subspace":
+        return K.basis, None
+    if K.kind == "monotone_cone":
+        block = np.r_[0, np.cumsum(x[1:] > x[:-1])]
+        return (block[:, None] == np.arange(block[-1] + 1)).astype(float), None
+    if K.kind == "orthant":
+        return np.eye(K.n)[:, x > 0.0], None
+    if not _on_sphere(K, x):
+        return np.eye(K.n), None
+    cols = np.flatnonzero(x)
+    return np.eye(K.n)[:, cols], np.sign(x[cols])
+
+
+def _on_sphere(K: ConstraintSet, x: np.ndarray) -> bool:
+    return float(np.abs(x).sum()) >= (1.0 - 1e-12) * K.radius
 
 
 def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:

@@ -144,7 +144,7 @@ def solve(
     Monte Carlo estimate of delta_K; within the band, or below it, the
     status is ``no_solution``.  Convergence criterion:
     ``|r_{t+1} - r_t| / max(r_t, 1e-12) < tol``; ``tol=None`` takes 1e-10
-    on the closed forms and 1e-6 on Monte Carlo.
+    on the closed forms and 1e-6 on Monte Carlo; a tol must lie in (0, 1).
     """
     m, n = problem.m, problem.n
     sigma2 = problem.sigma2
@@ -152,6 +152,8 @@ def solve(
     path = _path(problem)
     if tol is None:
         tol = path.tol
+    if not 0 < tol < 1:  # at 1 or above the first steps pass: "converged" certifies nothing
+        raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
 
     delta_k, se_k = statistical_dimension(problem.constraint, path.rows)
     delta_t, se_t = path.delta_T
@@ -208,12 +210,14 @@ def nnls_solve(
     """Analytic NNLS fixed point: omega_ratio(r)^2 * E G(U/omega) = r^2.
 
     Deterministic monotone iteration from 0; requires ratio = m/n > 1/2
-    (the orthant has delta_K / n = 1/2).  Returns r, not r^2.
+    (the orthant has delta_K / n = 1/2) and 0 < tol < 1.  Returns r, not r^2.
     """
     if not ratio > 0.5:
         raise NoSolutionError("NNLS fixed point needs m/n > 1/2")
     if not 0 < sigma < math.inf:
         raise DomainError("sigma must be positive")
+    if not 0 < tol < 1:
+        raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
 
     def step(r):
         w = omega(r, ratio, sigma)

@@ -8,8 +8,9 @@ projected gradient (FISTA with gradient restart) that polishes once per face
 by least squares on the face's affine hull, stopped on the gradient-mapping
 (KKT) residual and returning its best iterate; an AMP result counts as
 converged only if it passes the same test, and a rejected one starts the
-fallback unless AMP blew up.  Empirical risk aggregates
-independent replicates with per-replicate child seeds.
+fallback unless AMP blew up.  K is reached only through ``constraints``
+(``project``; ``face`` and ``face_span`` for the polish), never by its kind.
+Empirical risk aggregates independent replicates with per-replicate child seeds.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraints import ConstraintSet, project
+from .constraints import ConstraintSet, face, face_span, project
 from .errors import DomainError
 from .seeds import child_seed, mean_se
 
@@ -150,8 +151,9 @@ def pgd_solve(
     projection is the only one outside the loop, which projects once per
     iteration.
 
-    FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 (exact, so
-    s <= 1/L): ``x+ = Pi_K(y - s grad f(y))``, then ``y = x+ + beta (x+ - x)``,
+    FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 from the
+    smaller Gram matrix's top eigenvalue (exact, so s <= 1/L):
+    ``x+ = Pi_K(y - s grad f(y))``, then ``y = x+ + beta (x+ - x)``,
     restarted (momentum reset, ``y = x+``) whenever the gradient mapping
     points along the last step, ``(y - x+) . (x+ - x) > 0`` (O'Donoghue &
     Candes 2015).  ``X x`` is carried with ``x`` and ``X y`` formed by the
@@ -159,10 +161,10 @@ def pgd_solve(
 
     Polish: projected gradient finds the minimizer's face long before it
     converges (Nutini, Schmidt & Hare 2019).  When ``x+`` lies on the same
-    face as ``x`` (``_face``) and that face has not been tried, ``y`` becomes
+    face as ``x`` (``face``) and that face has not been tried, ``y`` becomes
     the least-squares minimizer over the face's affine hull and momentum
     resets, as OSQP's solution polishing does (Stellato et al. 2020); only
-    if that minimizer is unique and stays in the face (``_face_minimizer``).
+    if that minimizer is unique and stays on the face (``_face_minimizer``).
     It projects nothing: the next iteration's stop test certifies it.
 
     Stops when the gradient mapping ``||y - x+|| / s`` (the KKT residual) is
@@ -172,14 +174,14 @@ def pgd_solve(
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
-    step = m / (np.linalg.norm(X, 2) ** 2 + 1e-12)
+    step = m / (np.linalg.eigvalsh(X @ X.T if m <= n else X.T @ X)[-1] + 1e-12)
     kkt_tol = tol * float(np.linalg.norm(X.T @ Y)) / m
     x = y = best_mu = project(K, np.zeros(n) if x0 is None else x0).point
     Xx = Xy = X @ x
     resid = Y - Xx
     best_f = float(resid @ resid) / (2.0 * m)
     t = 1.0
-    face, tried = _face(K, x), set()
+    key, tried = face(K, x), set()
     converged = False
     iterations = max_iter
     for k in range(max_iter):
@@ -195,11 +197,11 @@ def pgd_solve(
             iterations = k + 1
             break
         move = x_new - x
-        new_face = _face(K, x_new)
+        new_key = face(K, x_new)
         polish = None
-        if new_face == face and new_face not in tried:
-            tried.add(new_face)
-            polish = _face_minimizer(K, X, Y, x_new)
+        if new_key == key and new_key not in tried:
+            tried.add(new_key)
+            polish = _face_minimizer(K, X, Y, x_new, new_key)
         if polish is not None:
             t, (y, Xy) = 1.0, polish
         elif mapping @ move > 0.0:
@@ -210,7 +212,7 @@ def pgd_solve(
             y = x_new + beta * move
             Xy = Xx_new + beta * (Xx_new - Xx)
             t = t_new
-        x, Xx, face = x_new, Xx_new, new_face
+        x, Xx, key = x_new, Xx_new, new_key
     return SolverResult(
         mu_hat=best_mu,
         objective=2.0 * best_f,
@@ -221,79 +223,34 @@ def pgd_solve(
     )
 
 
-def _face(K: ConstraintSet, x: np.ndarray) -> bytes:
-    """Names the face of K whose relative interior holds x: the positive
-    support (orthant), the block starts (monotone cone), the signed support on
-    the l1 sphere, or b"" for the ball's interior and for a subspace."""
-    if K.kind == "orthant":
-        return (x > 0.0).tobytes()
-    if K.kind == "monotone_cone":
-        return (x[1:] > x[:-1]).tobytes()
-    if K.kind == "l1_ball" and _on_sphere(K, x):
-        return np.sign(x).tobytes()
-    return b""
+def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarray, key: bytes):
+    """``(z, X z)`` for the minimizer z of ||Y - X z|| over the affine hull
+    {B c : s . c = radius} of x's face (``face_span``), or None unless z is
+    unique (face dimension at most m) and stays on that face:
+    ``face(K, z) == key``, the key of x.
 
-
-def _on_sphere(K: ConstraintSet, x: np.ndarray) -> bool:
-    return float(np.abs(x).sum()) >= (1.0 - 1e-12) * K.radius
-
-
-def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarray):
-    """``(z, X z)`` for the minimizer z of ||Y - X z|| over the affine hull of
-    x's face (see ``_face``), or None unless z is unique (face dimension at
-    most m) and stays in the face: z > 0 on the support, strictly increasing
-    blocks, the same signs on the sphere, or ||z||_1 < radius inside.
-
-    The face's columns A (X's support columns, block sums, or X times the
-    basis) give the normal equations A^T A c = A^T Y, bordered by s^T c = R
-    on the l1 sphere; LU solves them, and lstsq only if they are singular.
+    With A = X B, the normal equations A^T A c = A^T Y, bordered by
+    s . c = radius on the l1 sphere, are solved by LU, and by lstsq only if
+    they are singular; z = B c.
     """
-    m, n = X.shape
-    signs = None
-    if K.kind == "monotone_cone":
-        starts = np.append(0, np.flatnonzero(x[1:] > x[:-1]) + 1)
-        A = np.add.reduceat(X, starts, axis=1)
-    elif K.kind == "subspace":
-        A = X @ K.basis
-    else:
-        if K.kind == "orthant":
-            cols = np.flatnonzero(x > 0.0)
-        elif _on_sphere(K, x):
-            cols = np.flatnonzero(x)
-            signs = np.sign(x[cols])
-        else:
-            cols = np.arange(n)
-        A = X[:, cols]
-    p = A.shape[1]
-    if p - (signs is not None) > m:
+    B, s = face_span(K, x)
+    p = B.shape[1]
+    if p - (s is not None) > X.shape[0]:
         return None
+    A = X @ B
     G, b = A.T @ A, A.T @ Y
-    if signs is not None:
+    if s is not None:
         G, gram = np.zeros((p + 1, p + 1)), G
         G[:p, :p] = gram
-        G[p, :p] = G[:p, p] = signs
+        G[p, :p] = G[:p, p] = s
         b = np.append(b, K.radius)
     try:
         c = np.linalg.solve(G, b)[:p]
     except np.linalg.LinAlgError:
         c = np.linalg.lstsq(G, b, rcond=None)[0][:p]
-    if K.kind == "orthant":
-        inside = np.all(c > 0.0)
-    elif K.kind == "monotone_cone":
-        inside = np.all(c[1:] > c[:-1])
-    elif signs is not None:
-        inside = np.all(signs * c > 0.0)
-    else:
-        inside = K.kind == "subspace" or float(np.abs(c).sum()) < K.radius
-    if not inside:
+    z = B @ c
+    if face(K, z) != key:
         return None
-    if K.kind == "monotone_cone":
-        z = np.repeat(c, np.diff(np.append(starts, n)))
-    elif K.kind == "subspace":
-        z = K.basis @ c
-    else:
-        z = np.zeros(n)
-        z[cols] = c
     return z, A @ c
 
 

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert run([arg.format(x=vector_file) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["inf", "1e3", "1", "nan", "0", "-1"])
+    def test_tol_outside_unit_interval_is_one(self, capsys, tol):
+        # an accepted tol >= 1 printed "status: converged" two steps from the start
+        assert run(["fixed-point", "--constraint", "orthant", "--n", "50", "--m", "100",
+                    "--signal", "constant:5", "--tol", tol]) == 1
+        assert "step tolerance must lie in (0, 1)" in capsys.readouterr().err
+
     SIMULATE = ["simulate", "--constraint", "orthant", "--n", "5", "--m", "10",
                 "--signal", "zero", "--replicates", "10"]
 

@@ -23,6 +23,8 @@ from riskfix.constraints import (
     ConstraintSet,
     MonteCarloConfig,
     divergence,
+    face,
+    face_span,
     l1_threshold,
     mc_statistical_dimension,
     polar_project,
@@ -481,6 +483,39 @@ class TestProjectionInvariants:
                 np.testing.assert_allclose(rows[i], project(K, Y[i]).point, atol=1e-12)
 
 
+class TestFace:
+    """``face_span`` against ``project``'s divergence, an independent count.
+
+    At a generic y, the divergence of the projection is the dimension of the
+    face of K that holds Pi_K(y): B's columns, less one for the l1 sphere's
+    constraint s . c = radius.
+    """
+
+    @pytest.mark.parametrize("kind, scale, on_sphere", [
+        ("orthant", 2.0, False),
+        ("monotone_cone", 2.0, False),
+        ("subspace", 2.0, False),
+        ("l1_ball", 5.0, True),
+        ("l1_ball", 0.01, False),
+    ], ids=["orthant", "monotone_cone", "subspace", "l1-sphere", "l1-interior"])
+    def test_span_dimension_is_the_divergence(self, kind, scale, on_sphere):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            K = random_constraint(kind, n, rng)
+            pr = project(K, rng.standard_normal(n) * scale)
+            B, s = face_span(K, pr.point)
+            assert (s is not None) == on_sphere
+            assert B.shape[0] == n
+            assert B.shape[1] - (s is not None) == pr.divergence
+            # the point lies in the face's affine hull {B c : s . c = radius}
+            c = np.linalg.lstsq(B, pr.point, rcond=None)[0]
+            np.testing.assert_allclose(B @ c, pr.point, rtol=0.0, atol=1e-12 * scale)
+            if on_sphere:
+                assert s @ c == pytest.approx(K.radius, rel=1e-12)
+            assert face(K, B @ c) == face(K, pr.point)
+
+
 class TestDimensions:
     def test_orthant_closed_form(self):
         est, se = statistical_dimension(ConstraintSet.orthant(50), None)
@@ -524,6 +559,16 @@ class TestDimensions:
         K = ConstraintSet.orthant(10)
         est, _ = tangent_dimension(K, np.full(10, 2.0), None)
         assert est == 10.0
+
+    @pytest.mark.parametrize("entry, expected", [(1e-13, 6.0), (-1e-10, 5.5)],
+                             ids=["tiny-positive", "tiny-negative"])
+    def test_tangent_orthant_counts_positive_coordinates(self, entry, expected):
+        # face's rule, x > 0: a 1e-13 entry is positive, and a -1e-10 entry,
+        # which contains() accepts, is a zero coordinate
+        K = ConstraintSet.orthant(10)
+        mu0 = np.r_[entry, 1.0, np.zeros(8)]
+        assert K.contains(mu0)
+        assert tangent_dimension(K, mu0, None) == (expected, 0.0)
 
     def test_tangent_subspace(self):
         K = ConstraintSet.coordinate_subspace(8, 3)
@@ -611,6 +656,17 @@ class TestDimensions:
         K = ConstraintSet.l1_ball(20, 5.0)
         for mu0 in (np.zeros(20), np.linspace(-0.4, 0.4, 20)):
             assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
+
+    def test_l1_tangent_just_inside_the_sphere_reads_the_interior(self, monkeypatch):
+        # face's sphere test, ||mu0||_1 >= (1 - 1e-12) radius, decides
+        def no_rows(*args):
+            raise AssertionError("project_rows called")
+
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
+        H = gaussian_rows(10, 500, 20)
+        mu0 = np.linspace(-1.0, 1.0, 20)
+        K = ConstraintSet.l1_ball(20, np.abs(mu0).sum() / (1.0 - 1e-9))
+        assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
 
     def test_l1_tangent_a_few_ulps_inside_reads_the_sphere(self):
         rng = np.random.default_rng(12)

@@ -120,6 +120,13 @@ class TestSolveClosedForms:
         assert len(sol.trace) == 4
         assert sol.r_sq == sol.trace[-1]
 
+    @pytest.mark.parametrize("tol", [math.inf, 1e3, 1.0, math.nan, 0.0, -1.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # at tol >= 1 the first steps pass, and "converged" sat at r^2 = 0.75
+        # against the root 0.99999889
+        with pytest.raises(DomainError, match="step tolerance"):
+            quiet_solve(orthant_problem(u=5.0, m=100), tol=tol)
+
     def test_restart_uniqueness(self):
         tol = 1e-10
         base = quiet_solve(orthant_problem(u=5.0, m=60), tol=tol)
@@ -300,6 +307,11 @@ class TestNnls:
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(DomainError, match="sigma must be positive"):
             nnls_solve(DiscretePrior([(5.0, 1.0)]), 2.0, sigma)
+
+    @pytest.mark.parametrize("tol", [math.inf, 1.0, math.nan, 0.0, -1.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(DomainError, match="step tolerance"):
+            nnls_solve(DiscretePrior.point_mass(5.0), 2.0, 1.0, tol=tol)
 
     def test_iteration_cap_warns(self):
         prior = DiscretePrior([(0.0, 0.3), (2.0, 0.7)])
