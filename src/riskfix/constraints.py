@@ -231,7 +231,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     cone: T is the product of monotone cones over mu0's constant blocks
     (exact ties; any gap splits a block); block b is lifted by
     b * (row range + 1), and a constant mu0 gives ``statistical_dimension``.
-    Blocks, support and sphere test are ``face_span``'s.  l1 ball off the
+    Blocks, l1 support and sphere test are ``face_span``'s.  l1 ball off the
     sphere: T = R^n, the mean of ||h||^2.  On the sphere,
     T = {v : <s, v> + ||v off S||_1 <= 0} with S = supp mu0, s = sign mu0;
     each row is lifted by L s, L = 2 max|H| + 1, and projected onto the ball
@@ -242,13 +242,13 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         raise DomainError("mu0 must belong to K")
     if K.kind == "subspace":
         return float(K.subspace_dim), 0.0
-    B, s = face_span(K, mu0)
-    if K.kind == "orthant":
-        return (K.n + B.shape[1]) / 2.0, 0.0
+    if K.kind == "orthant":  # face_span's positive support, counted without labels
+        return (K.n + int(np.count_nonzero(mu0 > 0.0))) / 2.0, 0.0
+    label, s = face_span(K, mu0)
     if K.kind == "monotone_cone":
         # Lifting block b of each row by b * (row range + 1) puts every block
         # strictly above the one before, so PAVA never pools across blocks.
-        lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, B @ np.arange(B.shape[1]))
+        lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, label)
         K_T = K
     elif s is None:
         return mean_se(row_sq_norms(H))
@@ -256,7 +256,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
         # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
         L = 2.0 * np.abs(H).max() + 1.0
-        lift, K_T = L * (B @ s), ConstraintSet.l1_ball(K.n, L * s.size)
+        lift, K_T = L * np.append(s, 0.0)[label], ConstraintSet.l1_ball(K.n, L * s.size)
     fits = project_rows(K_T, H + lift)
     fits -= lift
     return mean_se(row_sq_norms(fits))
@@ -276,21 +276,18 @@ def face(K: ConstraintSet, x: np.ndarray) -> bytes:
 
 
 def face_span(K: ConstraintSet, x: np.ndarray):
-    """``(B, s)``: x's face spans {B c : s . c = radius}, with s = sign of x on
-    its support on the l1 sphere, else None.  B is unit columns on the positive
-    support (orthant) or the support (l1 sphere), block indicators (monotone
-    cone), the subspace basis, or the identity (inside the l1 ball)."""
+    """``(label, s)``: x's face spans {B c : s . c = radius}, s = sign x on its
+    support on the l1 sphere, else None.  B is never formed: column j is the
+    indicator of {i : label[i] == j} (-1 fixes x_i at 0) over the positive support
+    (orthant), the support (l1 sphere), every coordinate (l1 interior) or the
+    constant blocks (monotone cone); a subspace gives label None, B its basis."""
     if K.kind == "subspace":
-        return K.basis, None
+        return None, None
     if K.kind == "monotone_cone":
-        block = np.r_[0, np.cumsum(x[1:] > x[:-1])]
-        return (block[:, None] == np.arange(block[-1] + 1)).astype(float), None
-    if K.kind == "orthant":
-        return np.eye(K.n)[:, x > 0.0], None
-    if not _on_sphere(K, x):
-        return np.eye(K.n), None
-    cols = np.flatnonzero(x)
-    return np.eye(K.n)[:, cols], np.sign(x[cols])
+        return np.r_[0, np.cumsum(x[1:] > x[:-1])], None
+    sphere = K.kind == "l1_ball" and _on_sphere(K, x)
+    on = x > 0.0 if K.kind == "orthant" else (x != 0.0) | (not sphere)
+    return np.where(on, np.cumsum(on) - 1, -1), (np.sign(x[on]) if sphere else None)
 
 
 def _on_sphere(K: ConstraintSet, x: np.ndarray) -> bool:

@@ -229,15 +229,21 @@ def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarra
     unique (face dimension at most m) and stays on that face:
     ``face(K, z) == key``, the key of x.
 
-    With A = X B, the normal equations A^T A c = A^T Y, bordered by
-    s . c = radius on the l1 sphere, are solved by LU, and by lstsq only if
-    they are singular; z = B c.
+    With A = X B, gathered or block-summed from X's columns by label, the
+    normal equations A^T A c = A^T Y, bordered by s . c = radius on the l1
+    sphere, are solved by LU, and by lstsq only if they are singular; z = B c.
     """
-    B, s = face_span(K, x)
-    p = B.shape[1]
+    label, s = face_span(K, x)
+    if label is None:  # a subspace: B is its basis
+        A = X @ K.basis
+    else:  # X's columns on the face, summed over each block of several
+        on = np.flatnonzero(label >= 0)
+        A = X[:, on]
+        if on.size > label.max(initial=-1) + 1:
+            A = np.add.reduceat(A, np.flatnonzero(np.diff(label[on], prepend=-1)), axis=1)
+    p = A.shape[1]
     if p - (s is not None) > X.shape[0]:
         return None
-    A = X @ B
     G, b = A.T @ A, A.T @ Y
     if s is not None:
         G, gram = np.zeros((p + 1, p + 1)), G
@@ -248,7 +254,7 @@ def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarra
         c = np.linalg.solve(G, b)[:p]
     except np.linalg.LinAlgError:
         c = np.linalg.lstsq(G, b, rcond=None)[0][:p]
-    z = B @ c
+    z = K.basis @ c if label is None else np.append(c, 0.0)[label]
     if face(K, z) != key:
         return None
     return z, A @ c

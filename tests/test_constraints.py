@@ -6,6 +6,8 @@ the divergence, and the threshold equation for the l1 ball, solved by
 bisection.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import isotonic_regression
@@ -483,6 +485,13 @@ class TestProjectionInvariants:
                 np.testing.assert_allclose(rows[i], project(K, Y[i]).point, atol=1e-12)
 
 
+def face_matrix(K: ConstraintSet, label: np.ndarray) -> np.ndarray:
+    """The B of ``face_span``'s labels, formed densely (small n only)."""
+    if label is None:
+        return K.basis
+    return (label[:, None] == np.arange(label.max(initial=-1) + 1)).astype(float)
+
+
 class TestFace:
     """``face_span`` against ``project``'s divergence, an independent count.
 
@@ -504,8 +513,9 @@ class TestFace:
             n = int(rng.integers(2, 30))
             K = random_constraint(kind, n, rng)
             pr = project(K, rng.standard_normal(n) * scale)
-            B, s = face_span(K, pr.point)
+            label, s = face_span(K, pr.point)
             assert (s is not None) == on_sphere
+            B = face_matrix(K, label)
             assert B.shape[0] == n
             assert B.shape[1] - (s is not None) == pr.divergence
             # the point lies in the face's affine hull {B c : s . c = radius}
@@ -514,6 +524,27 @@ class TestFace:
             if on_sphere:
                 assert s @ c == pytest.approx(K.radius, rel=1e-12)
             assert face(K, B @ c) == face(K, pr.point)
+
+    @pytest.mark.parametrize("kind, scale, trend", [
+        ("orthant", 1.0, 0.0), ("monotone_cone", 0.0, 1.0), ("l1_ball", 50.0, 0.0),
+        ("l1_ball", 1e-3, 0.0),
+    ], ids=["orthant", "monotone_cone", "l1-sphere", "l1-interior"])
+    def test_span_and_tangent_dimension_take_memory_linear_in_n(self, kind, scale, trend):
+        # An n x n matrix here would be 128 MB; everything O(n) stays near 0.3 MB.
+        n = 4000
+        K = ConstraintSet.orthant(n) if kind == "orthant" else ConstraintSet.monotone_cone(n)
+        if kind == "l1_ball":
+            K = ConstraintSet.l1_ball(n, 10.0)
+        mu0 = project(K, scale * np.sin(np.arange(n)) + trend * np.linspace(0.0, 1.0, n)).point
+        H = gaussian_rows(3, 2, n)
+        tracemalloc.start()
+        try:
+            face_span(K, mu0)
+            tangent_dimension(K, mu0, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDimensions:
@@ -568,7 +599,9 @@ class TestDimensions:
         K = ConstraintSet.orthant(10)
         mu0 = np.r_[entry, 1.0, np.zeros(8)]
         assert K.contains(mu0)
-        assert tangent_dimension(K, mu0, None) == (expected, 0.0)
+        est, se = tangent_dimension(K, mu0, None)
+        assert (est, se) == (expected, 0.0)
+        assert type(est) is float  # the CLI prints its repr
 
     def test_tangent_subspace(self):
         K = ConstraintSet.coordinate_subspace(8, 3)

@@ -11,6 +11,7 @@ kind, the gradient mapping at the returned point.
 
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from scipy.optimize import nnls
 
 from oracles import l1_lsq_oracle, monotone_lsq_oracle, nnls_oracle, relative_gradient_mapping
-from riskfix.constraints import ConstraintSet, project
+from riskfix.constraints import ConstraintSet, face, project
 from riskfix.errors import DomainError
 from riskfix.fixed_point import nnls_solve
 from riskfix import linear_model
@@ -224,6 +225,25 @@ class TestPgd:
             res = pgd_solve(K, inst)
             gap = np.linalg.norm(project(K, res.mu_hat).point - res.mu_hat)
             assert gap <= 1e-8
+
+    @pytest.mark.parametrize("K, x", [
+        (ConstraintSet.orthant(4000), np.r_[np.ones(10), np.zeros(3990)]),
+        (ConstraintSet.monotone_cone(4000), np.linspace(0.0, 1.0, 4000)),
+        (ConstraintSet.monotone_cone(4000), np.repeat(np.arange(10.0), 400)),
+        (ConstraintSet.l1_ball(4000, 10.0), np.r_[np.ones(10), np.zeros(3990)]),
+        (ConstraintSet.l1_ball(4000, 10.0), np.full(4000, 1e-3)),
+    ], ids=["orthant", "monotone-singletons", "monotone-blocks", "l1-sphere", "l1-interior"])
+    def test_polish_takes_memory_linear_in_n(self, K, x):
+        # An n x n matrix here would be 128 MB; the 20 x n design is 0.6 MB.
+        rng = np.random.default_rng(13)
+        X, Y = rng.standard_normal((20, K.n)), rng.standard_normal(20)
+        tracemalloc.start()
+        try:
+            linear_model._face_minimizer(K, X, Y, x, face(K, x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestProjectionCount:
