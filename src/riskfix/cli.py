@@ -225,9 +225,10 @@ def cmd_simulate(args) -> None:
         raise DomainError("simulate needs an explicit signal vector, not a prior")
     results = run_replicates(K, mu0, args.m, args.n, args.sigma,
                              args.replicates, _seed_of(args), args.solver)
-    lines = ["replicate_id,risk,objective,iterations,solver,converged"]
+    lines = ["replicate_id,risk,objective,iterations,solver,converged,fallback"]
     for i, res in enumerate(results):
-        lines.append(f"{i},{res.risk!r},{res.objective!r},{res.iterations},{res.solver},{res.converged}")
+        lines.append(f"{i},{res.risk!r},{res.objective!r},{res.iterations},{res.solver},"
+                     f"{res.converged},{res.fallback or ''}")
     _write(args, "\n".join(lines) + "\n")
 
 

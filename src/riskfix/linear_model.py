@@ -81,7 +81,7 @@ def amp_solve(
     K: ConstraintSet,
     inst: DesignInstance,
     tol: float = 1e-8,
-    max_iter: int = 100,
+    max_iter: int = 30,
 ) -> SolverResult:
     """Approximate message passing for the constrained least squares program.
 
@@ -97,6 +97,13 @@ def amp_solve(
     after ``max_iter`` iterations (``"cap"``; ``"blowup"`` too if the last
     iterate fits Y worse than mu^0 does, so is still diverging).  Falling
     back to PGD is left to ``solve_instance``.
+
+    The cap of 30 is where AMP stops paying: its state evolution settles and
+    its face stops changing within a few to a few dozen iterations, after
+    which it crawls linearly to the minimizer, while PGD warm-started there
+    polishes on that face and certifies it in a few iterations.  Measured
+    over the benchmark grids, 30 beats 25 (PGD's setup outweighs AMP's last
+    steps at orthant m=200) and 40 or more (slower on the l1 ball).
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape

@@ -195,8 +195,12 @@ class TestSubcommands:
         ])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "replicate_id,risk,objective,iterations,solver,converged"
+        assert lines[0] == "replicate_id,risk,objective,iterations,solver,converged,fallback"
         assert len(lines) == 12
+        # a reason exactly when AMP's result was rejected: here 1 of 11
+        rows = [line.split(",")[-3:] for line in lines[1:]]
+        assert all((solver == "pgd") == (fallback != "") for solver, _, fallback in rows)
+        assert [fallback for *_, fallback in rows].count("cap") == 1
 
     def test_simulate_rejects_prior(self):
         assert run(["simulate", "--constraint", "orthant", "--n", "10", "--m", "30",

@@ -10,6 +10,7 @@ kind, the gradient mapping at the returned point.
 """
 
 import functools
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -21,6 +22,7 @@ from scipy.optimize import nnls
 from oracles import l1_lsq_oracle, monotone_lsq_oracle, nnls_oracle, relative_gradient_mapping
 from riskfix.constraints import ConstraintSet, face, project
 from riskfix.errors import DomainError
+from riskfix.experiments import resolve_signal
 from riskfix.fixed_point import nnls_solve
 from riskfix import linear_model
 from riskfix.kernels import DiscretePrior
@@ -34,6 +36,8 @@ from riskfix.linear_model import (
     solve_instance,
 )
 from riskfix.seeds import child_seed
+
+AMP_CAP = inspect.signature(amp_solve).parameters["max_iter"].default
 
 
 class TestGenerateInstance:
@@ -160,22 +164,33 @@ class TestPgd:
             assert res.converged and res.iterations == 1
             assert np.linalg.norm(res.mu_hat - exact) <= 1e-12
 
-    def test_warm_fallback_iteration_budget(self):
-        # deterministic counters on the auto path (29 and 176): from AMP's
-        # capped iterate most fallbacks sit on the minimizer's face, so one
-        # polish step and one certifying iteration finish them
+    def test_warm_fallback_iteration_budget(self, monkeypatch):
+        # deterministic AMP + PGD iterations on the auto path (345 and 523;
+        # 1,029 and 1,166 when AMP ran to 100): AMP finds the minimizer's face
+        # long before it converges, and from its capped iterate one polish
+        # step and a few certifying iterations finish PGD
         cases = [
-            (ConstraintSet.orthant(50), figure2_left_m60(10), 35),
+            (ConstraintSet.orthant(50), figure2_left_m60(10), 450),
             (ConstraintSet.l1_ball(100, 50.5), [
                 generate_instance(60, 100, np.arange(1, 101) / 100, 1.0, seed=child_seed(2, i))
                 for i in range(10)
-            ], 200),
+            ], 650),
         ]
+        amp_iterations = []
+
+        def counting_amp(*args, **kwargs):
+            res = amp_solve(*args, **kwargs)
+            amp_iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(linear_model, "amp_solve", counting_amp)
         for K, instances, budget in cases:
+            amp_iterations.clear()
             results = [solve_instance(K, inst, "auto") for inst in instances]
             fallbacks = [res for res in results if res.solver == "pgd"]
             assert sum(res.fallback == "cap" for res in fallbacks) >= 5, K.kind
-            assert sum(res.iterations for res in fallbacks) <= budget, K.kind
+            pgd_iterations = sum(res.iterations for res in fallbacks)
+            assert sum(amp_iterations) + pgd_iterations <= budget, K.kind
 
     def test_warm_and_cold_fallback_agree(self):
         # a unique minimizer does not depend on the start point (m = 60 is
@@ -263,7 +278,9 @@ class TestProjectionCount:
         ],
         ids=["orthant", "l1_ball", "monotone_cone"],
     )
-    @pytest.mark.parametrize("max_iter", [None, 4], ids=["converged", "capped"])
+    # 100 iterations is budget enough for every solver to converge here
+    # (AMP needs 56, 62 and 18); 4 is not.
+    @pytest.mark.parametrize("max_iter", [100, 4], ids=["converged", "capped"])
     def test_one_projection_per_iteration(self, monkeypatch, K, m, mu0, max_iter):
         calls, polishes = [], []
         face_minimizer = linear_model._face_minimizer
@@ -280,22 +297,22 @@ class TestProjectionCount:
         monkeypatch.setattr(linear_model, "project", counting_project)
         monkeypatch.setattr(linear_model, "_face_minimizer", counting_polish)
         inst = generate_instance(m, K.n, mu0, 1.0, seed=child_seed(40, 0))
-        budget = {} if max_iter is None else {"max_iter": max_iter}
+        converges = max_iter == 100
         # a warm start projects once too.  At mu0 it lands on the minimizer's
         # face, where a polish step fires; capped, it starts far out on a
         # wrong face (every other coordinate zeroed), so 4 iterations cannot
         # finish it.
-        x0 = mu0 if max_iter is None else 10.0 * mu0 * (np.arange(K.n) % 2)
+        x0 = mu0 if converges else 10.0 * mu0 * (np.arange(K.n) % 2)
         warm = functools.partial(pgd_solve, x0=x0)
         for solve, extra in ((amp_solve, 0), (pgd_solve, 1), (warm, 1)):
             calls.clear()
             polishes.clear()
-            res = solve(K, inst, **budget)
-            assert res.converged == (max_iter is None)
-            if max_iter is not None:
+            res = solve(K, inst, max_iter=max_iter)
+            assert res.converged == converges
+            if not converges:
                 assert res.iterations == max_iter
             assert len(calls) == res.iterations + extra
-        if max_iter is None:
+        if converges:
             assert any(polishes)  # in the warm run
 
 
@@ -359,8 +376,9 @@ class TestAmp:
         inst = generate_instance(m, n, np.full(n, 5.0), 1.0, seed=child_seed(5, 0))
         amp = amp_solve(K, inst)
         assert amp.solver == "amp" and not amp.converged
-        assert amp.iterations < 100  # stopped by the blow-up test, not the cap
-        assert amp.fallback == "blowup"
+        assert amp.fallback == "blowup"  # its capped iterate fits Y worse than zero
+        # given 100 iterations, the norm bound stops it before the cap (at 97)
+        assert amp_solve(K, inst, max_iter=100).iterations < 100
 
         calls = []
 
@@ -385,13 +403,14 @@ class TestAmp:
         assert len(calls) == 1
 
     def test_capped_amp_fitting_worse_than_zero_blew_up(self):
-        # zero signal, m < n/2: at the cap AMP's iterate (norm ~5e6, below the
-        # norm bound) fits Y worse than mu = 0 does.  Started there, PGD would
-        # stop at an interpolating minimizer of risk ~2e11 instead of ~10.
+        # zero signal, m < n/2: at the cap AMP's iterate (norm ~220, below the
+        # norm bound) fits Y worse than mu = 0 does (objective 65.7 against
+        # 1.53).  Started there, PGD would stop at an interpolating minimizer
+        # of risk ~940 instead of ~10 (~2e11 from AMP's 100th iterate).
         K = ConstraintSet.orthant(50)
         inst = generate_instance(20, 50, np.zeros(50), 1.0, seed=child_seed(7, 0))
         amp = amp_solve(K, inst)
-        assert amp.iterations == 100 and amp.objective > float(inst.Y @ inst.Y) / 20
+        assert amp.iterations == AMP_CAP and amp.objective > float(inst.Y @ inst.Y) / 20
         assert amp.fallback == "blowup"
         res = solve_instance(K, inst, "auto")
         assert res.fallback == "blowup" and res.risk == pgd_solve(K, inst).risk < 100.0
@@ -402,7 +421,7 @@ class TestAmp:
         K = ConstraintSet.orthant(50)
         inst = figure2_left_m60(1)[0]
         amp = amp_solve(K, inst)
-        assert not amp.converged and amp.iterations == 100 and amp.fallback == "cap"
+        assert not amp.converged and amp.iterations == AMP_CAP and amp.fallback == "cap"
         calls = []
 
         def counting_pgd(*args, **kwargs):
@@ -420,6 +439,26 @@ class TestAmp:
         forced = solve_instance(K, inst, "amp")
         assert forced.solver == "amp" and forced.fallback == "cap"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cell, signal, replicates", [
+        (0, "zero", (56, 73, 93)), (3, "linear", (4, 94)), (6, "quadratic", (139,)),
+    ], ids=["zero", "linear", "quadratic"])
+    def test_monotone_cone_hands_off_cheaply(self, cell, signal, replicates):
+        # the isotonic-grid replicates at n = m = 100, seed 0, whose AMP
+        # reaches its cap (it would converge within 31-38 iterations): PGD
+        # starts on the minimizer's face and certifies it at once
+        K = ConstraintSet.monotone_cone(100)
+        mu0 = resolve_signal(signal, 100)
+        emp_seed = child_seed(child_seed(0, cell), 1)  # experiments._run_cell's
+        for i in replicates:
+            inst = generate_instance(100, 100, mu0, 1.0, seed=child_seed(emp_seed, i))
+            res = solve_instance(K, inst, "auto")
+            assert res.solver == "pgd" and res.fallback == "cap", i
+            assert res.converged and res.iterations <= 3, i
+            assert relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat) <= 1e-7, i
+            uncapped = amp_solve(K, inst, max_iter=1_000)
+            assert uncapped.converged, i
+            assert abs(res.risk - uncapped.risk) <= 1e-6 * uncapped.risk, i
 
     def test_uncertified_amp_result_falls_back(self, monkeypatch):
         # AMP claims convergence at mu = 0, which is no minimizer here: only
