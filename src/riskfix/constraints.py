@@ -8,7 +8,7 @@ decomposition for cone kinds, the face holding a point, and Monte Carlo
 estimators of its statistical dimension and of the tangent-cone dimension.
 
 All operations are pure; Monte Carlo estimators average over rows from
-``seeds.gaussian_rows`` (row ``i`` from a child seed of ``(seed, i)``) and
+``seeds.gaussian_rows`` (one seeded stream per matrix, read row by row) and
 accumulate in index order, so results do not depend on scheduling.
 """
 

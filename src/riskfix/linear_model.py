@@ -23,7 +23,7 @@ from .errors import DomainError
 from .seeds import child_seed, mean_se
 
 # Objectives below this are numerical zero (interpolation regime); relative
-# decrease is meaningless there.
+# decrease is meaningless there, so PGD stops on the KKT certificate instead.
 _OBJECTIVE_FLOOR = 1e-14
 _KKT_TOL = 1e-7  # relative KKT residual that certifies an AMP result
 
@@ -71,7 +71,8 @@ def generate_instance(
     if mu0.shape != (n,):
         raise DomainError(f"mu0 must be a vector of length {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    X = rng.standard_normal((m, n)) / math.sqrt(n)
+    X = rng.standard_normal((m, n))
+    X /= math.sqrt(n)
     xi = sigma * rng.standard_normal(m)
     Y = X @ mu0 + xi
     return DesignInstance(X=X, xi=xi, Y=Y, mu0=mu0, seed=seed)
@@ -156,7 +157,8 @@ def pgd_solve(
 
     Starts from ``Pi_K(x0)``, or ``Pi_K(0)`` when ``x0`` is None; that first
     projection is the only one outside the loop, which projects once per
-    iteration.
+    iteration, plus once per iteration whose objective is below
+    ``_OBJECTIVE_FLOOR``, for its certificate.
 
     FISTA (Beck & Teboulle 2009) with step s = m / sigma_max(X)^2 from the
     smaller Gram matrix's top eigenvalue (exact, so s <= 1/L):
@@ -175,7 +177,8 @@ def pgd_solve(
     It projects nothing: the next iteration's stop test certifies it.
 
     Stops when the gradient mapping ``||y - x+|| / s`` (the KKT residual) is
-    at most ``tol * ||X^T Y|| / m``, or the objective reaches numerical zero.
+    at most ``tol * ||X^T Y|| / m``, or the objective reaches numerical zero
+    at an ``x+`` that passes ``_kkt_certified``.
     Returns the best iterate, so the objective is nonincreasing in
     ``max_iter``, with ``converged = False`` if the cap is hit first.
     """
@@ -199,7 +202,8 @@ def pgd_solve(
         if f_new <= best_f:
             best_f, best_mu = f_new, x_new
         mapping = y - x_new
-        if math.sqrt(mapping.dot(mapping)) <= kkt_tol * step or f_new < _OBJECTIVE_FLOOR:
+        if math.sqrt(mapping.dot(mapping)) <= kkt_tol * step or (
+                f_new < _OBJECTIVE_FLOOR and _kkt_certified(K, inst, x_new)):
             converged = True
             iterations = k + 1
             break

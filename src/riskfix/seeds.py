@@ -3,8 +3,9 @@
 Every Monte Carlo routine derives the generator for replicate ``i`` from
 ``(base_seed, i)`` through ``numpy.random.SeedSequence``, so results do not
 depend on how replicates are scheduled, and accumulation in fixed index
-order makes runs bit-reproducible for a given seed.  Every Monte Carlo
-average is reported through ``mean_se``.
+order makes runs bit-reproducible for a given seed.  A Gaussian matrix of
+Monte Carlo rows is one such stream, ``(base_seed, 0)``, read row by row.
+Every Monte Carlo average is reported through ``mean_se``.
 """
 
 import numpy as np
@@ -23,11 +24,12 @@ def child_seed(base_seed: int, index: int) -> int:
 
 
 def gaussian_rows(base_seed: int, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) matrix of N(0,1) draws, one child stream per row."""
-    out = np.empty((rows, cols))
-    for i in range(rows):
-        out[i] = child_rng(base_seed, i).standard_normal(cols)
-    return out
+    """(rows, cols) matrix of N(0,1) draws from the one stream ``(base_seed, 0)``.
+
+    The stream fills the matrix row by row, so for equal ``cols`` the first k
+    rows do not depend on ``rows``.
+    """
+    return child_rng(base_seed, 0).standard_normal((rows, cols))
 
 
 def mean_se(x: np.ndarray):

@@ -173,6 +173,19 @@ class TestSolveMonteCarlo:
         assert lo - 3 * sol.delta_K_se <= sol.r_sq <= hi + 3 * sol.delta_T_se
         assert sol.r2_holds
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_monotone_zero_signal_matches_harmonic_number(self, n, seed):
+        # delta_K of the monotone cone is H_n (Amelunxen, Lotz, McCoy & Tropp
+        # 2014), so at mu0 = 0 the root is r^2 = sigma^2 H_n / (m - H_n)
+        K = ConstraintSet.monotone_cone(n)
+        sol = quiet_solve(FixedPointProblem(
+            K, np.zeros(n), n, n, 1.0, MonteCarloConfig(samples=2000, seed=seed)
+        ))
+        h_n = sum(1.0 / k for k in range(1, n + 1))
+        assert sol.status == "converged"
+        assert abs(sol.r_sq - h_n / (n - h_n)) <= 6.0 * sol.r_se
+
     @pytest.mark.parametrize("mu0, m, sigma2", [
         (np.r_[2.0, -1.0, 0.5, -0.5, np.zeros(46)], 40, 1e-4),
         # at this noise level the 1e-6 entry counts; the s-halving loop's

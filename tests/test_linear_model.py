@@ -22,7 +22,7 @@ from scipy.optimize import nnls
 from oracles import l1_lsq_oracle, monotone_lsq_oracle, nnls_oracle, relative_gradient_mapping
 from riskfix.constraints import ConstraintSet, face, project
 from riskfix.errors import DomainError
-from riskfix.experiments import resolve_signal
+from riskfix.experiments import get_preset, resolve_signal
 from riskfix.fixed_point import nnls_solve
 from riskfix import linear_model
 from riskfix.kernels import DiscretePrior
@@ -59,6 +59,11 @@ class TestGenerateInstance:
         inst = generate_instance(m, n, np.zeros(n), 1.0, seed=4)
         second_moment = float(np.mean(inst.X**2)) * n
         assert abs(second_moment - 1.0) <= 3.0 / math.sqrt(m * n)
+
+    def test_design_is_scaled_draws(self):
+        inst = generate_instance(30, 12, np.zeros(12), 1.0, seed=5)
+        draws = np.random.default_rng(np.random.SeedSequence(5)).standard_normal((30, 12))
+        np.testing.assert_array_equal(inst.X, draws / math.sqrt(12))
 
     def test_seed_determinism(self):
         a = generate_instance(20, 10, np.zeros(10), 1.0, seed=6)
@@ -137,6 +142,19 @@ class TestPgd:
                     assert kkt <= 1e-7, (K.kind, i, res.solver, kkt)
                 # only a fallback carries a reason
                 assert (res.solver == "pgd") == (res.fallback is not None), (K.kind, i)
+
+    @pytest.mark.parametrize("i", [56, 94, 147, 180, 194])
+    def test_objective_floor_stop_is_certified(self, i):
+        # the degenerate preset (orthant, n=50, m=20, zero signal): these cold
+        # starts after a blow-up interpolate Y and reach the objective floor
+        # an iteration before their relative KKT residual falls to 1e-7
+        K = ConstraintSet.orthant(50)
+        emp_seed = child_seed(child_seed(get_preset("degenerate").seed, 0), 1)
+        inst = generate_instance(20, 50, np.zeros(50), 1.0, seed=child_seed(emp_seed, i))
+        res = solve_instance(K, inst)
+        assert (res.solver, res.fallback) == ("pgd", "blowup")
+        assert res.objective < 2 * linear_model._OBJECTIVE_FLOOR
+        assert res.converged and linear_model._kkt_certified(K, inst, res.mu_hat)
 
     def test_iteration_budget(self):
         # the iteration counters are deterministic
