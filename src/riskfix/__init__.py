@@ -61,7 +61,6 @@ from .linear_model import (
     pgd_solve,
 )
 from .sequence import (
-    ProcessSample,
     RiskCurve,
     eval_processes,
     mc_expectations,

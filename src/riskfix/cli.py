@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("config", help="preset name (figure2-left, figure2-right, degenerate) or config.json path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--full", action="store_true", help="full-size grid for figure2-right")
     p.set_defaults(func=cmd_experiment)
 
@@ -183,6 +183,8 @@ def cmd_risk_curve(args) -> None:
 
 
 def cmd_fixed_point(args) -> None:
+    if not 0 < args.sigma < math.inf:
+        raise DomainError(f"--sigma must be positive and finite, got {args.sigma!r}")
     K = resolve_constraint(args.constraint, args.n)
     signal = resolve_signal(args.signal, args.n)
     mc = MonteCarloConfig(samples=args.samples, seed=_seed_of(args))
@@ -237,14 +239,8 @@ def cmd_experiment(args) -> None:
         config = load_config(args.config)
     else:
         config = get_preset(args.config, full=args.full)
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs != 1:
-        overrides["jobs"] = args.jobs
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
+        config = replace(config, seed=args.seed)
     records = run_experiment(config)
     _write(args, emit_report(records, format=args.format))
 

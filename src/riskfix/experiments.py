@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from itertools import product
 
@@ -69,7 +68,7 @@ class ExperimentConfig:
     samples: int = 10_000
     seed: int = 0
     solver: str = "auto"
-    jobs: int = 1
+    jobs: int = 1  # only 1 is accepted: cells run in one sequential loop
 
     def __post_init__(self):
         if not self.signals:
@@ -89,8 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
             raise ConfigError(f"sigma must be a real number, got {self.sigma!r}")
-        if not 0 < self.sigma < np.inf or self.replicates < 10 or self.samples < 100 or self.jobs < 1:
-            raise ConfigError("config needs sigma > 0, replicates >= 10, samples >= 100 and jobs >= 1")
+        if not 0 < self.sigma < np.inf or self.replicates < 10 or self.samples < 100:
+            raise ConfigError("config needs sigma > 0, replicates >= 10 and samples >= 100")
+        if self.jobs != 1:
+            raise ConfigError(f"jobs must be 1 (cells run sequentially), got {self.jobs}")
         if self.solver not in ("amp", "pgd", "auto"):
             raise ConfigError(f"unknown solver choice {self.solver!r}")
 
@@ -214,15 +215,8 @@ def _number(convert, text: str, what: str):
 
 def run_experiment(config: ExperimentConfig):
     """All grid cells of the config, ordered by (signal, grid) index."""
-    tasks = list(enumerate(product(config.signals, config.grid)))
-    if config.jobs == 1:
-        return [_run_cell(config, idx, sig, n, m) for idx, (sig, (n, m)) in tasks]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures = [
-            pool.submit(_run_cell, config, idx, sig, n, m)
-            for idx, (sig, (n, m)) in tasks
-        ]
-        return [f.result() for f in futures]
+    return [_run_cell(config, idx, sig, n, m)
+            for idx, (sig, (n, m)) in enumerate(product(config.signals, config.grid))]
 
 
 def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: int) -> ExperimentRecord:

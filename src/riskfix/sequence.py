@@ -6,7 +6,9 @@ For ``y = mu0 + sigma * h`` and ``fit = Pi_K(y)`` the three processes are
     lrt(sigma) = ||y - mu0||^2 - ||y - fit||^2
     dof(sigma) = <fit - mu0, sigma * h>
 
-linked pathwise by ``lrt = 2 dof - err`` and ``err <= dof <= lrt``.  Monte
+linked pathwise by ``lrt = 2 dof - err`` and ``err <= dof <= lrt``.
+``process_rows`` evaluates them for every row of a noise matrix in one
+row-wise projection; ``eval_processes`` is its checked one-row call.  Monte
 Carlo expectations over a sigma grid share one set of h draws (common
 random numbers), which keeps the pathwise monotonicity statements exactly
 testable and removes Monte Carlo jitter between grid points.
@@ -16,20 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, MonteCarloConfig, project, project_rows, row_sq_norms
+from .constraints import ConstraintSet, MonteCarloConfig, project_rows, row_sq_norms
+# perfbench/spans.py wraps sequence.project; tests/test_tracer_targets.py checks the name resolves.
+from .constraints import project  # noqa: F401
 from .errors import DomainError
 from .kernels import kernel_G, kernel_H
 from .seeds import gaussian_rows, mean_se
-
-
-@dataclass(frozen=True)
-class ProcessSample:
-    """One pathwise evaluation of the three processes at noise level sigma."""
-
-    sigma: float
-    err: float
-    lrt: float
-    dof: float
 
 
 @dataclass(frozen=True)
@@ -50,19 +44,16 @@ class RiskCurve:
     mc: MonteCarloConfig
 
 
-def eval_processes(K: ConstraintSet, mu0, sigma: float, h) -> ProcessSample:
-    """Evaluate err/lrt/dof for one noise draw ``h`` at level ``sigma``."""
+def eval_processes(K: ConstraintSet, mu0, sigma: float, h) -> tuple:
+    """``(err, lrt, dof)`` as floats for one noise draw ``h`` at level ``sigma``.
+
+    The one-row case of ``process_rows``, after checking that ``sigma`` is
+    positive and finite and that ``mu0`` lies in K.
+    """
     mu0 = np.asarray(mu0, dtype=float)
-    h = np.asarray(h, dtype=float)
     _check_inputs(K, mu0, sigma)
-    y = mu0 + sigma * h
-    fit = project(K, y).point
-    diff = fit - mu0
-    err = float(diff @ diff)
-    dof = float(diff @ (sigma * h))
-    resid = y - fit
-    lrt = float(sigma * sigma * (h @ h) - resid @ resid)
-    return ProcessSample(float(sigma), err, lrt, dof)
+    H = np.asarray(h, dtype=float).reshape(1, -1)
+    return tuple(float(v[0]) for v in process_rows(K, mu0, sigma, H))
 
 
 def process_rows(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray):

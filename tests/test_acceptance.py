@@ -248,9 +248,7 @@ def test_criterion_08_pathwise_property_suite():
             # three-sigma subgrid for the expensive pathwise identities, full
             # grid for the monotonicity statements
             samples = [eval_processes(K, mu0, float(s), h) for s in sigmas]
-            err = np.array([s.err for s in samples])
-            lrt = np.array([s.lrt for s in samples])
-            dof = np.array([s.dof for s in samples])
+            err, lrt, dof = np.array(samples).T
             scale = np.maximum(1.0, sigmas**2 * hh)
             worst_identity = max(worst_identity,
                                  float(np.max(np.abs(lrt - (2 * dof - err)) / scale)))
@@ -268,12 +266,12 @@ def test_criterion_08_pathwise_property_suite():
                 assert abs(float(p @ q)) <= 1e-9 * s2
             j = int(rng.integers(0, 10))
             for M in (1.5, 2.0, 4.0):
-                a = samples[j]
-                b = eval_processes(K, mu0, float(M * sigmas[j]), h)
-                tol_e = 1e-9 * max(1.0, b.err)
-                assert a.err <= b.err + tol_e and b.err <= M**2 * a.err + tol_e
-                tol_l = 1e-9 * max(1.0, abs(b.lrt))
-                assert M * a.lrt <= b.lrt + tol_l and b.lrt <= M**2 * a.lrt + tol_l
+                a_err, a_lrt, _ = samples[j]
+                b_err, b_lrt, _ = eval_processes(K, mu0, float(M * sigmas[j]), h)
+                tol_e = 1e-9 * max(1.0, b_err)
+                assert a_err <= b_err + tol_e and b_err <= M**2 * a_err + tol_e
+                tol_l = 1e-9 * max(1.0, abs(b_lrt))
+                assert M * a_lrt <= b_lrt + tol_l and b_lrt <= M**2 * a_lrt + tol_l
             checked += 1
     elapsed = time.perf_counter() - start
     report(8, checked == 1000 and elapsed <= 120.0,

@@ -56,7 +56,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value", [
         ("replicates", 12.5), ("samples", 150.5), ("seed", 1.5), ("jobs", 1.5),
         ("sigma", "1"), ("grid", [[10.7, 30]]), ("seed", -1), ("constraint", 5),
-        ("signal", 5), ("signal", ["zero", 3]),
+        ("signal", 5), ("signal", ["zero", 3]), ("jobs", 2),
     ])
     def test_malformed_config_is_two(self, tmp_path, capsys, field, value):
         cfg = {"name": "bad", "constraint": "monotone_cone", "signal": "zero",
@@ -65,6 +65,12 @@ class TestExitCodes:
         path.write_text(json.dumps({**cfg, field: value}))
         assert run(["experiment", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["experiment", "figure2-right", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     FIXED_POINT = ["fixed-point", "--n", "5", "--m", "10"]
 
@@ -108,6 +114,13 @@ class TestExitCodes:
         assert run(["fixed-point", "--constraint", "orthant", "--n", "50", "--m", "100",
                     "--signal", "constant:5", "--tol", tol]) == 1
         assert "step tolerance must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["-1", "0", "inf", "nan"])
+    def test_non_positive_fixed_point_sigma_is_one(self, capsys, sigma):
+        # the CLI squares the flag, so without the check -1 would solve at sigma^2 = 1
+        assert run(self.FIXED_POINT + ["--constraint", "orthant", "--signal", "constant:1",
+                                       "--sigma", sigma]) == 1
+        assert "--sigma must be positive and finite" in capsys.readouterr().err
 
     SIMULATE = ["simulate", "--constraint", "orthant", "--n", "5", "--m", "10",
                 "--signal", "zero", "--replicates", "10"]
@@ -215,6 +228,7 @@ class TestSubcommands:
             "replicates": 10,
             "samples": 200,
             "seed": 3,
+            "jobs": 1,  # the only accepted value
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

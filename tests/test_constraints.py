@@ -91,6 +91,21 @@ class TestDescriptors:
         K = ConstraintSet.subspace(ok)
         assert K.subspace_dim == 3 and K.is_cone
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: ConstraintSet("subspace", 3, basis=np.ones(3)), DescriptorError,
+         "subspace needs an (n, d) basis matrix"),
+        (lambda: ConstraintSet.subspace(np.zeros((3, 0))), DescriptorError,
+         "subspace dimension must satisfy 1 <= d <= n"),
+        (lambda: ConstraintSet("orthant", 3, basis=np.eye(3)), DescriptorError,
+         "basis is only valid for subspace, not orthant"),
+        (lambda: ConstraintSet.monotone_cone(3).subspace_dim, UnsupportedKindError,
+         "subspace_dim only applies to subspace kind"),
+    ], ids=["basis-1d", "basis-d0", "basis-on-orthant", "subspace-dim-of-cone"])
+    def test_descriptor_rejected_with_reason(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert message in str(exc.value)
+
     @pytest.mark.parametrize("d", [0, 6, -1])
     def test_coordinate_subspace_dimension_out_of_range(self, d):
         with pytest.raises(DescriptorError, match="1 <= d <= n"):

@@ -72,6 +72,16 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             FixedPointProblem(K, np.zeros(5), 10, 5, 0.0)
 
+    @pytest.mark.parametrize("n, signal, message", [
+        (0, np.zeros(5), "dimension n must be a positive integer"),
+        (5, np.zeros(4), "signal must be a vector of length 5"),
+        (5, np.array([0.0, 1.0, np.inf, 0.0, 0.0]), "signal must be finite"),
+    ], ids=["n-zero", "signal-length", "signal-non-finite"])
+    def test_bad_sizes_and_signals(self, n, signal, message):
+        with pytest.raises(DomainError) as exc:
+            FixedPointProblem(ConstraintSet.orthant(5), signal, 10, n, 1.0)
+        assert message in str(exc.value)
+
     def test_signal_membership_enforced(self):
         K = ConstraintSet.coordinate_subspace(6, 2)
         off_subspace = np.ones(6)

@@ -137,6 +137,15 @@ class TestDiscretePrior:
         with pytest.raises(DomainError):
             DiscretePrior([])
 
+    @pytest.mark.parametrize("atoms, message", [
+        ([(np.nan, 1.0)], "prior atoms must be finite"),
+        ([(1.0, 1.0), (2.0, 0.0)], "prior weights must be positive"),
+    ], ids=["nan-atom", "zero-weight"])
+    def test_rejected_with_reason(self, atoms, message):
+        with pytest.raises(DomainError) as exc:
+            DiscretePrior(atoms)
+        assert message in str(exc.value)
+
     def test_point_mass_at_zero(self):
         prior = DiscretePrior.point_mass(0.0)
         for omega in (0.1, 1.0, 7.0):

@@ -14,6 +14,7 @@ import inspect
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestGenerateInstance:
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(DomainError, match=r"sigma > 0"):
             generate_instance(10, 5, np.zeros(5), sigma)
+
+    @pytest.mark.parametrize("m, mu0, message", [
+        (0, np.zeros(5), "m and n must be positive"),
+        (10, np.zeros(4), "mu0 must be a vector of length 5"),
+    ], ids=["m-zero", "mu0-length"])
+    def test_bad_sizes_rejected(self, m, mu0, message):
+        with pytest.raises(DomainError) as exc:
+            generate_instance(m, 5, mu0, 1.0)
+        assert message in str(exc.value)
 
     def test_model_identity(self):
         inst = generate_instance(30, 12, np.linspace(0, 1, 12), 0.7, seed=3)
@@ -258,6 +268,36 @@ class TestPgd:
             res = pgd_solve(K, inst)
             gap = np.linalg.norm(project(K, res.mu_hat).point - res.mu_hat)
             assert gap <= 1e-8
+
+    def test_singular_face_polish_falls_back_to_lstsq(self, monkeypatch):
+        # two identical columns make the face's normal equations exactly
+        # singular: np.linalg.solve raises and the polish takes lstsq's answer
+        K, mu0 = ConstraintSet.orthant(6), np.full(6, 2.0)
+        inst = generate_instance(20, 6, mu0, 1.0, seed=5)
+        X = inst.X.copy()
+        X[:, 1] = X[:, 0]
+        inst = replace(inst, X=X, Y=X @ mu0 + inst.xi)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        x = np.ones(6)  # every coordinate on the face
+        z, Xz = linear_model._face_minimizer(K, X, inst.Y, x, face(K, x))
+        assert len(calls) == 1
+        best = lstsq(X, inst.Y, rcond=None)[0]
+        f_best = float(np.sum((inst.Y - X @ best) ** 2))
+        assert float(np.sum((inst.Y - Xz) ** 2)) == pytest.approx(f_best, rel=1e-12)
+        np.testing.assert_allclose(Xz, X @ z, rtol=1e-12)
+
+        calls.clear()
+        res = pgd_solve(K, inst)
+        assert len(calls) == 1
+        assert res.converged and res.iterations == 3
+        assert linear_model._kkt_certified(K, inst, res.mu_hat)
 
     @pytest.mark.parametrize("K, x", [
         (ConstraintSet.orthant(4000), np.r_[np.ones(10), np.zeros(3990)]),

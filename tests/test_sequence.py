@@ -46,18 +46,18 @@ class TestEvalProcesses:
         n = 6
         K = ConstraintSet.coordinate_subspace(n, n)
         h = np.random.default_rng(0).standard_normal(n)
-        sample = eval_processes(K, np.zeros(n), 1.0, h)
+        err, lrt, dof = eval_processes(K, np.zeros(n), 1.0, h)
         hh = float(h @ h)
-        assert sample.err == pytest.approx(hh, rel=1e-12)
-        assert sample.lrt == pytest.approx(hh, rel=1e-12)
-        assert sample.dof == pytest.approx(hh, rel=1e-12)
+        assert err == pytest.approx(hh, rel=1e-12)
+        assert lrt == pytest.approx(hh, rel=1e-12)
+        assert dof == pytest.approx(hh, rel=1e-12)
 
     def test_orthant_by_hand(self):
         K = ConstraintSet.orthant(2)
-        sample = eval_processes(K, np.zeros(2), 2.0, np.array([-1.0, 1.0]))
-        assert sample.err == pytest.approx(4.0, abs=1e-12)
-        assert sample.dof == pytest.approx(4.0, abs=1e-12)
-        assert sample.lrt == pytest.approx(4.0, abs=1e-12)
+        err, lrt, dof = eval_processes(K, np.zeros(2), 2.0, np.array([-1.0, 1.0]))
+        assert err == pytest.approx(4.0, abs=1e-12)
+        assert dof == pytest.approx(4.0, abs=1e-12)
+        assert lrt == pytest.approx(4.0, abs=1e-12)
 
     def test_identity_random_monotone(self):
         rng = np.random.default_rng(1)
@@ -66,9 +66,9 @@ class TestEvalProcesses:
         for _ in range(50):
             h = rng.standard_normal(20)
             sigma = float(rng.uniform(0.05, 5.0))
-            s = eval_processes(K, mu0, sigma, h)
-            scale = max(abs(s.lrt), sigma**2 * float(h @ h), 1.0)
-            assert abs(s.lrt - (2.0 * s.dof - s.err)) <= 1e-9 * scale
+            err, lrt, dof = eval_processes(K, mu0, sigma, h)
+            scale = max(abs(lrt), sigma**2 * float(h @ h), 1.0)
+            assert abs(lrt - (2.0 * dof - err)) <= 1e-9 * scale
 
     def test_domain_checks(self):
         K = ConstraintSet.orthant(3)
@@ -106,10 +106,7 @@ class TestPathwiseProperties:
         for _ in range(60):
             K, mu0 = random_case(rng)
             h = rng.standard_normal(K.n)
-            samples = self._grid_eval(K, mu0, h, sigmas)
-            err = np.array([s.err for s in samples])
-            lrt = np.array([s.lrt for s in samples])
-            dof = np.array([s.dof for s in samples])
+            err, lrt, dof = np.array(self._grid_eval(K, mu0, h, sigmas)).T
             hh = float(h @ h)
             # err nondecreasing, err/sigma^2 nonincreasing
             assert np.all(np.diff(err) >= -1e-12)
@@ -131,17 +128,17 @@ class TestPathwiseProperties:
             h = rng.standard_normal(K.n)
             for M in (1.5, 2.0, 4.0):
                 sigma = float(rng.uniform(0.1, 3.0))
-                a = eval_processes(K, mu0, sigma, h)
-                b = eval_processes(K, mu0, M * sigma, h)
-                tol = 1e-9 * max(1.0, b.err)
-                assert a.err <= b.err + tol
-                assert b.err <= M**2 * a.err + tol
-                tol = 1e-9 * max(1.0, abs(b.lrt))
-                assert M * a.lrt <= b.lrt + tol
-                assert b.lrt <= M**2 * a.lrt + tol
-                tol = 1e-9 * max(1.0, abs(b.dof))
-                assert a.dof <= b.dof + tol
-                assert b.dof <= M**2 * a.dof + tol
+                a_err, a_lrt, a_dof = eval_processes(K, mu0, sigma, h)
+                b_err, b_lrt, b_dof = eval_processes(K, mu0, M * sigma, h)
+                tol = 1e-9 * max(1.0, b_err)
+                assert a_err <= b_err + tol
+                assert b_err <= M**2 * a_err + tol
+                tol = 1e-9 * max(1.0, abs(b_lrt))
+                assert M * a_lrt <= b_lrt + tol
+                assert b_lrt <= M**2 * a_lrt + tol
+                tol = 1e-9 * max(1.0, abs(b_dof))
+                assert a_dof <= b_dof + tol
+                assert b_dof <= M**2 * a_dof + tol
 
     def test_dof_integral_upper_bound(self):
         # dof(sigma) <= sigma * int_0^sigma err(tau)/tau^2 dtau, trapezoid on
@@ -155,15 +152,15 @@ class TestPathwiseProperties:
             hh = float(h @ h)
             taus = np.geomspace(sigma * 1e-4, sigma, 200)
             vals = np.array(
-                [eval_processes(K, mu0, float(t), h).err / t**2 for t in taus]
+                [eval_processes(K, mu0, float(t), h)[0] / t**2 for t in taus]
             )
             integral = float(np.trapezoid(vals, taus))
             head = taus[0] * hh  # integrand <= ||h||^2 on (0, tau_min)
             steps = np.diff(taus)
             variation = float(np.sum(steps * np.abs(np.diff(vals)) / 2.0))
             bound = sigma * (integral + head + variation)
-            s = eval_processes(K, mu0, sigma, h)
-            assert s.dof <= bound + 1e-9 * max(1.0, bound)
+            _, _, dof = eval_processes(K, mu0, sigma, h)
+            assert dof <= bound + 1e-9 * max(1.0, bound)
 
 
 class TestMcExpectations:
@@ -190,6 +187,8 @@ class TestMcExpectations:
             mc_expectations(K, np.zeros(4), [1.0, 0.5], MonteCarloConfig(200))
         with pytest.raises(DomainError):
             mc_expectations(K, np.zeros(4), [1.0], MonteCarloConfig(10))
+        with pytest.raises(DomainError, match="sigma grid must be a non-empty 1-d array"):
+            mc_expectations(K, np.zeros(4), [[0.5, 1.0]], MonteCarloConfig(200))
 
     @pytest.mark.parametrize("kind", ["orthant", "monotone_cone"])
     @pytest.mark.parametrize("grid", [[0.1, np.nan, 1.0], [0.1, 1.0, np.inf], [np.nan], [-np.inf, 1.0]])
