@@ -153,9 +153,8 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     equal neighbouring inputs, a coordinate at the l1 threshold, a point on
     the l1 sphere) are dithered once by ``1e-12 * cos(1..n)`` before
     counting structure; the returned point is always computed from the raw
-    input.  Monotone blocks that share a mean without an input tie are not
-    detected.  Shape and finiteness are checked on every call; ``x`` is
-    never written.
+    input.  Shape and finiteness are checked on every call; ``x`` is never
+    written.
     """
     x = _check_vector(K, x)
     if K.kind == "orthant":
@@ -167,10 +166,13 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     if K.kind == "monotone_cone":
         point = x.copy()
         pieces = _pava(point)
-        # Exact input ties sit on the non-differentiability set of the piece
-        # count; recount after dithering.  scipy's PAVA pools neighbouring
-        # blocks of equal mean, so each block is one constant piece.
-        if np.count_nonzero(x[1:] == x[:-1]):
+        # Exact ties sit on the non-differentiability set of the piece count:
+        # equal neighbouring inputs, or neighbouring blocks of equal mean.
+        # scipy's PAVA pools the latter into one block (so each block is one
+        # constant piece), inside which the partial sums of x - fit vanish.
+        # Recount after dithering.
+        if np.count_nonzero(x[1:] == x[:-1]) or np.count_nonzero(
+                ((x - point).cumsum()[:-1] == 0.0) & (point[1:] == point[:-1])):
             pieces = _pava(_dithered(x))
         return ProjectionResult(point, float(pieces), pieces)
 
@@ -248,7 +250,7 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     if K.kind == "monotone_cone":
         # Lifting block b of each row by b * (row range + 1) puts every block
         # strictly above the one before, so PAVA never pools across blocks.
-        lift = np.outer(H.max(axis=1) - H.min(axis=1) + 1.0, label)
+        scale, shift = (H.max(axis=1) - H.min(axis=1) + 1.0)[:, None], label
         K_T = K
     elif s is None:
         return mean_se(row_sq_norms(H))
@@ -256,9 +258,11 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
         # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
         L = 2.0 * np.abs(H).max() + 1.0
-        lift, K_T = L * np.append(s, 0.0)[label], ConstraintSet.l1_ball(K.n, L * s.size)
-    fits = project_rows(K_T, H + lift)
-    fits -= lift
+        scale, shift, K_T = L, np.append(s, 0.0)[label], ConstraintSet.l1_ball(K.n, L * s.size)
+    # The lift scale * shift is formed twice rather than kept: with H, the
+    # lifted rows and their fits, a kept lift would be a fourth H-sized array.
+    fits = project_rows(K_T, H + scale * shift)
+    fits -= scale * shift
     return mean_se(row_sq_norms(fits))
 
 

@@ -1,12 +1,16 @@
 """Experiment grids: theory prediction vs empirical risk, tidy reports.
 
 A config describes a constraint family, one or more signal presets, a grid
-of (n, m) sizes and Monte Carlo budgets.  Each grid cell solves the risk
-fixed point (theory), simulates the estimator across replicates
-(empirical), and emits one record; a cell that meets a domain, config or
-IO error fails soft into an ``error:`` record, while programming errors
-propagate.  Reports serialize to CSV or JSON with identical field names and
-values.
+of (n, m) sizes and Monte Carlo budgets.  Each (signal, grid point) cell
+solves the risk fixed point (theory), simulates the estimator across
+replicates (empirical), and emits one record; a cell that meets a domain,
+config or IO error fails soft into an ``error:`` record, while programming
+errors propagate.  Grid points run one after another.  At each, replicate
+i's design and noise are drawn once and every signal is solved on them
+(common random numbers), so comparisons between signals are paired; the
+replicates are split into one block per signal, and each cell runs its
+theory and then its block.  Reports serialize to CSV or JSON with
+identical field names and values.
 """
 
 import json
@@ -14,7 +18,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, asdict
-from itertools import product
 
 import numpy as np
 
@@ -22,7 +25,9 @@ from .constraints import ConstraintSet, MonteCarloConfig
 from .errors import ConfigError, DomainError
 from .fixed_point import FixedPointProblem, solve
 from .kernels import DiscretePrior
-from .linear_model import empirical_risk, generate_instance, solve_instance
+from .linear_model import empirical_risk
+# perfbench/spans.py wraps these two names here too; tests/test_tracer_targets.py checks they resolve.
+from .linear_model import generate_instance, solve_instance  # noqa: F401
 from .seeds import child_rng, child_seed, mean_se
 
 CSV_COLUMNS = (
@@ -215,64 +220,98 @@ def _number(convert, text: str, what: str):
 
 def run_experiment(config: ExperimentConfig):
     """All grid cells of the config, ordered by (signal, grid) index."""
-    return [_run_cell(config, idx, sig, n, m)
-            for idx, (sig, (n, m)) in enumerate(product(config.signals, config.grid))]
+    points = [_run_grid_point(config, g, n, m) for g, (n, m) in enumerate(config.grid)]
+    return [rec for per_signal in zip(*points) for rec in per_signal]
 
 
-def _run_cell(config: ExperimentConfig, idx: int, signal_spec: str, n: int, m: int) -> ExperimentRecord:
-    start = time.perf_counter()
-    experiment_id = f"{config.name}-{idx:03d}"
-    cell_seed = child_seed(config.seed, idx)
-    theory_seed = child_seed(cell_seed, 0)
-    emp_seed = child_seed(cell_seed, 1)
-    try:
-        K = resolve_constraint(config.constraint, n)
-        signal = resolve_signal(signal_spec, n)
-        sol = solve(FixedPointProblem(
-            constraint=K, signal=signal, m=m, n=n, sigma2=config.sigma**2,
-            mc=MonteCarloConfig(samples=config.samples, seed=theory_seed),
-        ))
-        if isinstance(signal, DiscretePrior):
-            emp_mean, emp_se = _empirical_risk_prior(
-                K, signal, m, n, config.sigma, config.replicates, emp_seed, config.solver
+class _Cell:
+    """One (signal, grid point) cell while its grid point runs."""
+
+    def __init__(self, config, idx, spec, n, m):
+        self.config, self.spec, self.n, self.m = config, spec, n, m
+        self.experiment_id = f"{config.name}-{idx:03d}"
+        self.cell_seed = child_seed(config.seed, idx)
+        self.signal = self.sol = self.error = None
+        self.risks = []
+        self.runtime = 0.0
+
+    def signal_rows(self, block):
+        """The signal, or a prior's i.i.d. draw for each replicate of the block."""
+        if not isinstance(self.signal, DiscretePrior):
+            return self.signal
+        seed = child_seed(self.cell_seed, 2)
+        return np.array([child_rng(seed, i).choice(self.signal.values, size=self.n,
+                                                   p=self.signal.weights) for i in block])
+
+    def record(self) -> ExperimentRecord:
+        config, sol = self.config, self.sol
+        values = dict(r_theory_sq=None, r_theory_se=None, risk_emp_mean=None, risk_emp_se=None,
+                      ratio=None, r2_statistic=None, regime=f"error: {self.error}")
+        if self.error is None:
+            emp_mean, emp_se = mean_se(np.array(self.risks))
+            # Only a converged root is reported; no_solution has no root at all.
+            converged = sol.status == "converged"
+            ratio = None
+            if converged and sol.r_sq > 0 and emp_mean > 0:
+                ratio = math.sqrt(sol.r_sq) / math.sqrt(emp_mean)
+            values = dict(
+                r_theory_sq=sol.r_sq if converged else None,
+                r_theory_se=sol.r_se if converged else None,
+                risk_emp_mean=emp_mean, risk_emp_se=emp_se, ratio=ratio,
+                r2_statistic=sol.r2_statistic if converged else None,
+                regime="unconverged" if sol.status == "max_iterations" else sol.regime,
             )
-        else:
-            emp_mean, emp_se, _ = empirical_risk(
-                K, signal, m, n, config.sigma, config.replicates, emp_seed, config.solver
-            )
-        # Only a converged root is reported; no_solution has no root at all.
-        converged = sol.status == "converged"
-        ratio = None
-        if converged and sol.r_sq > 0 and emp_mean > 0:
-            ratio = math.sqrt(sol.r_sq) / math.sqrt(emp_mean)
         return ExperimentRecord(
-            experiment_id=experiment_id, n=n, m=m, sigma=config.sigma,
-            constraint=config.constraint, signal=signal_spec,
-            r_theory_sq=sol.r_sq if converged else None,
-            r_theory_se=sol.r_se if converged else None,
-            risk_emp_mean=emp_mean, risk_emp_se=emp_se, ratio=ratio,
-            r2_statistic=sol.r2_statistic if converged else None,
-            regime="unconverged" if sol.status == "max_iterations" else sol.regime,
-            runtime_seconds=time.perf_counter() - start,
-        )
-    except (ValueError, ConfigError, OSError) as exc:  # fail-soft; bugs propagate
-        return ExperimentRecord(
-            experiment_id=experiment_id, n=n, m=m, sigma=config.sigma,
-            constraint=config.constraint, signal=signal_spec,
-            r_theory_sq=None, r_theory_se=None, risk_emp_mean=None,
-            risk_emp_se=None, ratio=None, r2_statistic=None,
-            regime=f"error: {exc}", runtime_seconds=time.perf_counter() - start,
+            experiment_id=self.experiment_id, n=self.n, m=self.m, sigma=config.sigma,
+            constraint=config.constraint, signal=self.spec, runtime_seconds=self.runtime,
+            **values,
         )
 
 
-def _empirical_risk_prior(K, prior, m, n, sigma, replicates, base_seed, solver_choice):
-    """Empirical risk with a fresh i.i.d. signal draw per replicate."""
-    risks = np.empty(replicates)
-    for i in range(replicates):
-        mu0 = child_rng(base_seed, 2 * i + 1).choice(prior.values, size=n, p=prior.weights)
-        inst = generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, 2 * i))
-        risks[i] = solve_instance(K, inst, solver_choice).risk
-    return mean_se(risks)
+_FAIL_SOFT = (ValueError, ConfigError, OSError)  # domain, config and IO errors; bugs propagate
+
+
+def _run_grid_point(config: ExperimentConfig, g: int, n: int, m: int) -> list:
+    """The records of every signal at grid point g, in signal order.
+
+    Replicate i's design and noise come from ``child_seed(design_seed, i)``
+    and every signal is solved on them (``run_replicates``), so the signals
+    share them.  The replicates are split into one equal block per signal:
+    cell s runs its theory, then the block's replicates for every signal.
+    A cell's runtime is its theory plus its verify block.
+    """
+    G = len(config.grid)
+    cells = [_Cell(config, s * G + g, spec, n, m) for s, spec in enumerate(config.signals)]
+    design_seed = child_seed(child_seed(config.seed, g), 1)
+    blocks = np.array_split(np.arange(config.replicates), len(cells))
+    K = None
+    for cell in cells:
+        try:
+            K = resolve_constraint(config.constraint, n)
+            cell.signal = resolve_signal(cell.spec, n)
+        except _FAIL_SOFT as exc:
+            cell.error = exc
+    for cell, block in zip(cells, blocks):
+        start = time.perf_counter()
+        if cell.error is None:
+            try:
+                cell.sol = solve(FixedPointProblem(
+                    constraint=K, signal=cell.signal, m=m, n=n, sigma2=config.sigma**2,
+                    mc=MonteCarloConfig(samples=config.samples, seed=child_seed(cell.cell_seed, 0)),
+                ))
+            except _FAIL_SOFT as exc:
+                cell.error = exc
+        live = [c for c in cells if c.error is None]
+        if live and block.size:
+            risks = empirical_risk(K, [c.signal_rows(block) for c in live], m, n,
+                                   config.sigma, block, design_seed, config.solver)
+            for c, r in zip(live, risks):
+                if isinstance(r, ValueError):
+                    c.error = r
+                else:
+                    c.risks += r
+        cell.runtime = time.perf_counter() - start
+    return [cell.record() for cell in cells]
 
 
 def get_preset(name: str, full: bool = False) -> ExperimentConfig:

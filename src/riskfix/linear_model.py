@@ -10,7 +10,8 @@ by least squares on the face's affine hull, stopped on the gradient-mapping
 converged only if it passes the same test, and a rejected one starts the
 fallback unless AMP blew up.  K is reached only through ``constraints``
 (``project``; ``face`` and ``face_span`` for the polish), never by its kind.
-Empirical risk aggregates independent replicates with per-replicate child seeds.
+Empirical risk aggregates independent replicates with per-replicate child
+seeds; several signals can share each replicate's design and noise.
 """
 
 import math
@@ -308,19 +309,47 @@ def run_replicates(
     m: int,
     n: int,
     sigma: float,
-    replicates: int,
+    replicates,
     base_seed: int = 0,
     solver_choice: str = "auto",
 ):
-    """Independent instances with child seeds; list of SolverResult in order."""
-    if replicates < 1:
+    """Independent instances with child seeds; list of SolverResult in order.
+
+    ``replicates`` is a count or the replicate indices to run.  Replicate i
+    draws X and xi once, from ``child_seed(base_seed, i)``.  ``mu0`` may be a
+    list of signals instead of one, each a vector or an array with one row
+    per replicate index; every signal is then solved on each replicate's
+    X and xi with ``Y = X mu0 + xi``, the expression ``generate_instance``
+    uses, so the signals share designs and noise (common random numbers) and
+    each gets bit for bit the results it gets alone.  The returned list then
+    holds one result list per signal, or the ``ValueError`` that stopped
+    that signal and no other.
+    """
+    single = not isinstance(mu0, list)
+    signals = [np.asarray(mu, dtype=float) for mu in ([mu0] if single else mu0)]
+    indices = range(replicates) if np.isscalar(replicates) else replicates
+    if single and len(indices) < 1:
         raise DomainError(f"replicates must be at least 1, got {replicates}")
-    mu0 = np.asarray(mu0, dtype=float)
-    results = []
-    for i in range(replicates):
-        inst = generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, i))
-        results.append(solve_instance(K, inst, solver_choice))
-    return results
+    out = [[] for _ in signals]
+    for j, i in enumerate(indices):
+        inst = None
+        for s, signal in enumerate(signals):
+            if isinstance(out[s], ValueError):
+                continue
+            mu = signal if signal.ndim == 1 else signal[j]
+            try:
+                if inst is None:
+                    inst = generate_instance(m, n, mu, sigma, seed=child_seed(base_seed, i))
+                else:
+                    inst = replace(inst, mu0=mu, Y=inst.X @ mu + inst.xi)
+                out[s].append(solve_instance(K, inst, solver_choice))
+            except ValueError as exc:
+                out[s] = exc
+    if not single:
+        return out
+    if isinstance(out[0], ValueError):
+        raise out[0]
+    return out[0]
 
 
 def empirical_risk(
@@ -335,8 +364,13 @@ def empirical_risk(
 ):
     """Monte Carlo risk of the constrained LSE across replicates.
 
-    Returns ``(mean, se, per_replicate)``.
+    Returns ``(mean, se, per_replicate)``.  For a list of signals on shared
+    instances (``run_replicates``), returns each signal's per-replicate
+    risks, or the error that stopped it, for the caller to pool.
     """
+    if isinstance(mu0, list):
+        return [res if isinstance(res, ValueError) else [r.risk for r in res]
+                for res in run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)]
     if replicates < 10:
         raise DomainError("empirical_risk needs at least 10 replicates")
     results = run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)

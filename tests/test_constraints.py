@@ -163,6 +163,10 @@ class TestTieDither:
             # (2, 0), (1), (1) pool into one block of mean 1 at x; the dither
             # leaves three blocks
             ([-10.0, -9.0, 2.0, 0.0, 1.0, 1.0], 5, 3),
+            # no input tie: blocks (2, 0) and (3, -1) share the mean 1, so PAVA
+            # pools them and the partial sums of x - fit vanish inside the
+            # pooled block (0, 0, 1, 0, 2, 0); the dither leaves four blocks
+            ([-10.0, -9.0, 2.0, 0.0, 3.0, -1.0], 4, 3),
         ],
     )
     def test_monotone_ties(self, x, pieces, naive):
@@ -174,9 +178,9 @@ class TestTieDither:
         assert res.divergence == float(pieces)
 
     def test_pava_block_means_strictly_increase(self):
-        # The monotone cone tests only input ties for the dither: it relies on
-        # scipy's PAVA pooling neighbouring blocks of equal mean, including
-        # the blocks (2, 0) and (3, -1) of the first input.
+        # The monotone cone's tie test relies on scipy's PAVA pooling
+        # neighbouring blocks of equal mean, including the blocks (2, 0) and
+        # (3, -1) of the first input: a shared mean shows only inside a block.
         rng = np.random.default_rng(61)
         inputs = [np.array([-10.0, -9.0, 2.0, 0.0, 3.0, -1.0])]
         inputs += [rng.integers(-3, 4, size=int(rng.integers(2, 9))).astype(float)
@@ -246,7 +250,10 @@ class TestPavaCore:
             else:
                 x = rng.integers(-3, 4, size=n).astype(float)
             public = isotonic_regression(x)
-            tied = np.count_nonzero(x[1:] == x[:-1]) > 0
+            # an input tie, or a pooled block with a proper prefix at its mean
+            tied = np.count_nonzero(x[1:] == x[:-1]) > 0 or any(
+                np.any(np.cumsum(x[a:b] - public.x[a:b])[:-1] == 0.0)
+                for a, b in zip(public.blocks[:-1], public.blocks[1:]))
             pieces = isotonic_regression(dither(x) if tied else x).blocks.size - 1
             res = project(K, x)
             assert res.point.tobytes() == public.x.tobytes(), x

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from riskfix.errors import ConfigError, DomainError
+import riskfix.linear_model
+from riskfix.constraints import ConstraintSet
 from riskfix.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -20,6 +22,8 @@ from riskfix.experiments import (
     resolve_signal,
     run_experiment,
 )
+from riskfix.linear_model import empirical_risk, run_replicates
+from riskfix.seeds import child_seed, mean_se
 
 TINY = ExperimentConfig(
     name="tiny",
@@ -199,6 +203,38 @@ class TestRunExperiment:
         assert rec.regime.startswith("error")
         assert rec.r_theory_sq is None
 
+    def test_fail_soft_keeps_the_other_signals(self, tmp_path):
+        config = replace(SHARED, signals=("linear", f"file:{tmp_path}/absent.txt", "quadratic"))
+        without = run_quiet(replace(config, signals=("linear", "quadratic")))
+        records = run_quiet(config)
+        assert [r.regime.startswith("error") for r in records] == [False] * 2 + [True] * 2 + [False] * 2
+        assert records[2].r_theory_sq is None and records[3].risk_emp_mean is None
+        # the others' risks do not depend on the failed signal (shared designs)
+        for rec, ref in zip(records[:2] + records[4:], without):
+            assert _values(rec) == _values(ref)
+
+    def test_verify_error_fails_only_its_signal(self, monkeypatch):
+        solve_instance = riskfix.linear_model.solve_instance
+
+        def fails_on_quadratic(K, inst, solver_choice):
+            if np.array_equal(inst.mu0, resolve_signal("quadratic", inst.mu0.size)):
+                raise DomainError("quadratic verify fails")
+            return solve_instance(K, inst, solver_choice)
+
+        reference = run_quiet(SHARED)
+        monkeypatch.setattr(riskfix.linear_model, "solve_instance", fails_on_quadratic)
+        records = run_quiet(SHARED)
+        assert [r.regime for r in records[4:]] == ["error: quadratic verify fails"] * 2
+        assert [_values(r) for r in records[:4]] == [_values(r) for r in reference[:4]]
+
+    def test_programming_error_in_verify_propagates(self, monkeypatch):
+        def broken(K, inst, solver_choice):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(riskfix.linear_model, "solve_instance", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            run_quiet(SHARED)
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(problem):
             raise TypeError("not a domain error")
@@ -206,6 +242,65 @@ class TestRunExperiment:
         monkeypatch.setattr("riskfix.experiments.solve", broken)
         with pytest.raises(TypeError, match="not a domain error"):
             run_quiet(TINY)
+
+
+SHARED = ExperimentConfig(
+    name="shared", constraint="orthant", signals=("zero", "linear", "quadratic"),
+    grid=((10, 30), (12, 24)), replicates=13, samples=200, seed=9,
+)
+
+
+def _values(rec):
+    """A record's fields apart from its id and runtime."""
+    row = asdict(rec)
+    row.pop("experiment_id"), row.pop("runtime_seconds")
+    return row
+
+
+class TestSharedDesigns:
+    """A grid point draws each replicate's design once and solves every signal on it."""
+
+    def test_risks_equal_each_signal_alone(self):
+        K = ConstraintSet.monotone_cone(15)
+        signals = [resolve_signal(spec, 15) for spec in ("zero", "linear", "quadratic")]
+        shared = empirical_risk(K, signals, 15, 15, 1.0, range(12), base_seed=4)
+        blocks = [empirical_risk(K, signals, 15, 15, 1.0, block, base_seed=4)
+                  for block in np.array_split(np.arange(12), 3)]
+        for s, mu in enumerate(signals):
+            alone = [res.risk for res in run_replicates(K, mu, 15, 15, 1.0, 12, base_seed=4)]
+            assert shared[s] == alone
+            assert sum((block[s] for block in blocks), []) == alone
+
+    def test_records_pool_the_design_seed_replicates(self):
+        records = run_quiet(SHARED)
+        G = len(SHARED.grid)
+        for idx, rec in enumerate(records):
+            g = idx % G
+            design_seed = child_seed(child_seed(SHARED.seed, g), 1)
+            K = ConstraintSet.orthant(rec.n)
+            alone = run_replicates(K, resolve_signal(rec.signal, rec.n), rec.m, rec.n,
+                                   SHARED.sigma, SHARED.replicates, design_seed)
+            assert (rec.risk_emp_mean, rec.risk_emp_se) == mean_se(np.array([r.risk for r in alone]))
+
+    @pytest.mark.parametrize("signal", ["linear", "atoms=0:0.5,3:0.5"])
+    def test_first_signal_records_do_not_see_the_others(self, signal):
+        alone = run_quiet(replace(SHARED, signals=(signal,)))
+        together = run_quiet(replace(SHARED, signals=(signal, "quadratic")))
+        assert [asdict(r) | {"runtime_seconds": 0} for r in alone] == \
+            [asdict(r) | {"runtime_seconds": 0} for r in together[:len(alone)]]
+
+    def test_one_design_per_replicate_and_grid_point(self, monkeypatch):
+        calls = []
+        generate_instance = riskfix.linear_model.generate_instance
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return generate_instance(*args, **kwargs)
+
+        monkeypatch.setattr(riskfix.linear_model, "generate_instance", counted)
+        run_quiet(SHARED)
+        assert len(calls) == SHARED.replicates * len(SHARED.grid)
+        assert len(set(calls)) == len(calls)
 
 
 class TestReports:

@@ -8,7 +8,11 @@ checks make it fail the test suite instead.
 """
 
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
+
+import riskfix.experiments as experiments
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -27,3 +31,25 @@ def test_every_workload_builds_its_config():
     for name, workload in workloads.WORKLOADS.items():
         config = workload.config(0)
         assert config.name == name and config.seed == 0
+
+
+def test_each_cell_is_one_solve_then_one_empirical_risk(monkeypatch):
+    # The benchmark adds each empirical_risk call to the cell of the solve
+    # before it (spans.piece_times), so predict_s, verify_s and cell_s_max
+    # need the two to alternate, once each per cell, on multi-signal grids too.
+    calls = []
+    for name in ("solve", "empirical_risk"):
+        original = getattr(experiments, name)
+
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, recorded)
+    config = replace(workloads.WORKLOADS["isotonic-grid"].config(0),
+                     grid=((12, 12), (20, 20)), replicates=10, samples=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        records = experiments.run_experiment(config)
+    assert len(records) == 6
+    assert calls == ["solve", "empirical_risk"] * len(records)
