@@ -201,6 +201,7 @@ def cmd_fixed_point(args) -> None:
             "L_n": sol.L_n,
             "bounds": [_json_safe(b) for b in sol.bounds],
             "iterations": max(len(sol.trace) - 1, 0),
+            "bracket": sol.bracket and [_json_safe(b) for b in sol.bracket],
             "trace": sol.trace,
         }
         _write(args, json.dumps(payload, indent=2) + "\n")
@@ -216,6 +217,7 @@ def cmd_fixed_point(args) -> None:
         f"delta_T: {sol.delta_T!r} +- {sol.delta_T_se!r}",
         f"L_n: {sol.L_n!r}",
         f"iterations: {max(len(sol.trace) - 1, 0)}",
+        f"bracket on r_sq: {sol.bracket and list(sol.bracket)}",
     ]
     _write(args, "\n".join(lines) + "\n")
 

@@ -5,16 +5,19 @@ the linear measurement model solves
 
     E err( omega_{m/n}(r) ) = n r^2,   omega_d(r) = sqrt((r^2 + sigma^2) / d),
 
-which has a unique positive solution exactly when ``m > delta_K``.  The
-solver runs the monotone iteration ``r_{t+1}^2 = E err(omega(r_t)) / n``
-from ``r_0 = 0`` with common random numbers across iterations, so the
-empirical iteration map inherits the pathwise monotone structure and the
-trace is nondecreasing.  The residual non-degeneracy statistic
+which has a unique positive solution exactly when ``m > delta_K``.  With
+``s = r^2`` the solver brackets the root of ``F(s) = E err(omega(sqrt s))/n - s``
+and narrows the bracket by interpolation until both ends, each an
+evaluation, lie within the tolerance of each other.  Every evaluation reads
+the same random numbers (common random numbers), so the empirical map
+inherits the pathwise structure: ``F`` is deterministic, positive below the
+root and negative above it, and the sign of one evaluation certifies on
+which side of the root it lies.  The residual non-degeneracy statistic
 
     (E lrt(omega_n) - E err(omega_n)) / (2 n sigma^2)
 
 must stay below 1 for the risk characterization to apply; it is reported
-with a Monte Carlo standard error.
+with a Monte Carlo standard error, from the evaluation at the root.
 """
 
 import math
@@ -92,6 +95,11 @@ class FixedPointSolution:
     ``r_sq``/``omega`` are None when no solution exists (m <= delta_K up to
     the 3-SE guard band).  ``bounds`` are the a-priori brackets
     ``delta_K/(m - delta_K) <= r^2/sigma^2 <= delta_T/(m - delta_T)_+``.
+    ``trace`` is the bracket's lower end after each evaluation of E err,
+    starting at ``r0_sq``, so ``len(trace) - 1`` evaluations were made.
+    ``bracket`` is ``(lo, hi)`` in r^2, both ends evaluated, with the root
+    between them; 0 and inf stand for an end not evaluated yet, and it is
+    None without a solution.
     """
 
     r_sq: float
@@ -110,6 +118,7 @@ class FixedPointSolution:
     L_n: float
     bounds: tuple
     r_se: float = 0.0
+    bracket: tuple = None
 
 
 class R2Check(NamedTuple):
@@ -138,13 +147,16 @@ def solve(
     max_iter: int = 200,
     r0_sq: float = 0.0,
 ) -> FixedPointSolution:
-    """Solve the fixed-point equation by the monotone iteration from r0.
+    """Solve the fixed-point equation by bracketing its root from r0.
 
     Existence is gated on ``m > delta_K`` with a 3-SE guard band around the
     Monte Carlo estimate of delta_K; within the band, or below it, the
-    status is ``no_solution``.  Convergence criterion:
-    ``|r_{t+1} - r_t| / max(r_t, 1e-12) < tol``; ``tol=None`` takes 1e-10
-    on the closed forms and 1e-6 on Monte Carlo; a tol must lie in (0, 1).
+    status is ``no_solution``.  Convergence criterion: evaluated ends
+    ``lo <= r^2 <= hi`` with ``sqrt(hi) - sqrt(lo) <= tol * sqrt(lo)``;
+    ``tol=None`` takes 1e-10 on the closed forms and 1e-6 on Monte Carlo; a
+    tol must lie in (0, 1).  ``max_iter`` caps the evaluations of E err.
+    The root is reported at ``lo``, and the R2 statistic and ``r_se`` come
+    from the evaluation there.
     """
     m, n = problem.m, problem.n
     sigma2 = problem.sigma2
@@ -180,23 +192,25 @@ def solve(
         )
 
     delta = m / n
-    r, trace, converged = _iterate(
-        lambda r: math.sqrt(max(path.err(omega(r, delta, sigma))[0] / n, 0.0)),
-        math.sqrt(max(r0_sq, 0.0)), tol, max_iter,
-    )
-    w = omega(r, delta, sigma)
-    err_se, gap_mean, gap_se = path.final(w)
+
+    def g(s):
+        e, final = path.err(omega(math.sqrt(s), delta, sigma))
+        return e / n, final
+
+    (r_sq, final), bracket, trace, converged = _root(
+        g, max(r0_sq, 0.0), sigma2, delta_k / m, tol, max_iter)
+    err_se, gap_mean, gap_se = final()
     scale = 2.0 * n * sigma2
     r2_stat = gap_mean / scale
     r2_se = gap_se / scale
     return FixedPointSolution(
-        r_sq=r * r, omega=w, trace=trace,
+        r_sq=r_sq, omega=omega(math.sqrt(r_sq), delta, sigma), trace=trace,
         status="converged" if converged else "max_iterations",
         delta_K=delta_k, delta_K_se=se_k, delta_T=delta_t, delta_T_se=se_t,
         regime=regime, r2_statistic=r2_stat, r2_se=r2_se,
         r2_holds=bool(r2_stat < 1.0),
         r2_verified=bool(r2_stat + 3.0 * r2_se < 1.0),
-        L_n=l_n, bounds=bounds, r_se=err_se / n,
+        L_n=l_n, bounds=bounds, r_se=err_se / n, bracket=bracket,
     )
 
 
@@ -209,8 +223,9 @@ def nnls_solve(
 ) -> float:
     """Analytic NNLS fixed point: omega_ratio(r)^2 * E G(U/omega) = r^2.
 
-    Deterministic monotone iteration from 0; requires ratio = m/n > 1/2
-    (the orthant has delta_K / n = 1/2) and 0 < tol < 1.  Returns r, not r^2.
+    Deterministic, bracketed from 0 by the same root-finder as ``solve``;
+    requires ratio = m/n > 1/2 (the orthant has delta_K / n = 1/2) and
+    0 < tol < 1.  ``max_iter`` caps the evaluations.  Returns r, not r^2.
     """
     if not ratio > 0.5:
         raise NoSolutionError("NNLS fixed point needs m/n > 1/2")
@@ -219,51 +234,102 @@ def nnls_solve(
     if not 0 < tol < 1:
         raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
 
-    def step(r):
-        w = omega(r, ratio, sigma)
-        return math.sqrt(w * w * prior_G(prior, w))
+    def g(s):
+        w = omega(math.sqrt(s), ratio, sigma)
+        return w * w * prior_G(prior, w), None
 
-    r, _, converged = _iterate(step, 0.0, tol, max_iter)
+    (r_sq, _), _, _, converged = _root(g, 0.0, sigma * sigma, 0.5 / ratio, tol, max_iter)
     if not converged:
         warnings.warn("nnls_solve hit the iteration cap before the step tolerance",
                       RuntimeWarning, stacklevel=2)
-    return r
+    return math.sqrt(r_sq)
 
 
-def _iterate(step: Callable, r: float, tol: float, max_iter: int):
-    """Monotone iteration ``r <- step(r)`` from r: (last r, r^2 trace, converged)."""
-    trace = [r * r]
-    prev_step = None
-    for _ in range(max_iter):
-        r_new = step(r)
-        trace.append(r_new * r_new)
-        done = _step_converged(r, r_new, prev_step, tol)
-        prev_step = abs(r_new - r)
-        r = r_new
-        if done:
-            return r, trace, True
-    return r, trace, False
+def _root(g: Callable, s0: float, c: float, phi_inf: float, tol: float, max_iter: int):
+    """Bracket the root of F(s) = g(s) - s from s0 and narrow it to tol in sqrt(s).
 
+    ``g(s)`` returns ``(value, payload)``.  The value is nondecreasing in s,
+    and phi = value / (s + c) is nonincreasing with limit ``phi_inf`` < 1 as
+    s -> inf (c = sigma^2, phi_inf = delta_K / m).  So F is positive below
+    its one root and negative above it, and with t = s / (s + c) the root
+    is where phi = t: an end's phi bounds the root's t from the other side.
+    Steps interpolate f = F / (s + c) = phi - t against u = c / (s + c),
+    where f is linear when phi is constant (a cone at mu0 = 0):
+      - from above, before any lower end: t = phi, a lower bound;
+      - after the first evaluation: t = phi, exact for a constant phi;
+      - then inverse quadratic interpolation through the last three
+        evaluations (Brent 1973), or, if it leaves the bracket, false
+        position with the Illinois halving (Dowell & Jarratt 1971); until an
+        upper end is evaluated, the bracket's upper end is u = 0 (s = inf),
+        where f tends to phi_inf - 1;
+      - a point within tol/4 of the lower end (in sqrt(s)) moves up by
+        tol/8, past the root, and one within tol of the lower end or 3tol/4
+        of the upper end moves down by tol/8, so the last two evaluations
+        straddle the root and the lower end lies within about tol/4 of it.
 
-def _step_converged(r: float, r_new: float, prev_step, tol: float) -> bool:
-    """Stop once the projected remaining distance is below tol.
-
-    The iteration contracts linearly with an a-priori-unknown factor rho;
-    the distance left after a step of size s is about s * rho / (1 - rho).
-    Requiring that projection (with rho estimated from consecutive steps)
-    to fall below tol/2 keeps independent runs within 5 * tol of each
-    other, which the bare step criterion cannot guarantee when rho > 5/7.
+    Returns ``((s, payload), (lo, hi), trace, converged)``: the lower end
+    (the start while none is evaluated) with its payload, the bracket (0 and
+    inf for an end not evaluated), and the lower end after each evaluation,
+    starting at s0.  ``max_iter`` caps the evaluations.
     """
-    step = abs(r_new - r)
-    if step == 0.0:
-        return True
-    scale = max(r, 1e-12)
-    if step / scale >= tol:
-        return False
-    if prev_step is None or prev_step <= 0.0:
-        return False
-    rho = min(step / prev_step, 0.999)
-    return step * rho / (1.0 - rho) < 0.5 * tol * scale
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    lo = hi = start = None  # evaluated points, (s, payload)
+    u_lo, f_lo, u_hi, f_hi = 1.0, None, 0.0, phi_inf - 1.0  # false-position ends
+    side = None  # the end the last evaluation replaced
+    points = []  # (u, f) of the last three evaluations
+    trace = [s0]
+    s = s0
+    for _ in range(max_iter):
+        value, payload = g(s)
+        start = start or (s, payload)
+        u, f = c / (s + c), (value - s) / (s + c)
+        if value >= s:
+            lo = (s, payload)
+            if side == "lo":
+                f_hi /= 2.0
+            u_lo, f_lo, side = u, f, "lo"
+        if value <= s:
+            hi = (s, payload)
+            if side == "hi" and lo:
+                f_lo /= 2.0
+            u_hi, f_hi, side = u, f, "hi"
+        trace.append((lo or start)[0])
+        if lo and hi and math.sqrt(hi[0]) - math.sqrt(lo[0]) <= tol * math.sqrt(lo[0]):
+            return lo, _bracket(lo, hi), trace, True
+        points = (points + [(u, f)])[-3:]
+        if lo is None:
+            s = c * value / (s + c - value)
+            continue
+        u = _interpolate(points) if len(points) > 1 else 1.0 - value / (s + c)
+        if not u_hi < u < u_lo:
+            u = u_lo - f_lo * (u_hi - u_lo) / (f_hi - f_lo)
+        r = math.sqrt(c / u - c)
+        above_lo = r - math.sqrt(lo[0])
+        if above_lo <= 0.25 * tol * r:
+            r += 0.125 * tol * r
+        elif above_lo <= tol * r or hi and math.sqrt(hi[0]) - r <= 0.75 * tol * r:
+            r -= 0.125 * tol * r
+        s = r * r
+    return lo or start, _bracket(lo, hi), trace, False
+
+
+def _interpolate(points) -> float:
+    """u at f = 0 on the polynomial in f through the points (u, f); nan on a repeated f."""
+    total = 0.0
+    for i, (u, f) in enumerate(points):
+        weight = 1.0
+        for j, (_, other) in enumerate(points):
+            if j != i:
+                if other == f:
+                    return math.nan
+                weight *= other / (other - f)
+        total += u * weight
+    return total
+
+
+def _bracket(lo, hi) -> tuple:
+    return (lo[0] if lo else 0.0, hi[0] if hi else math.inf)
 
 
 def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) -> R2Check:
@@ -278,20 +344,24 @@ def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) ->
 class _Path(NamedTuple):
     """How one problem evaluates E err: a closed form or Monte Carlo with CRN."""
 
-    err: Callable  # omega -> (E err, SE)
-    final: Callable  # omega -> (err SE, E(lrt - err), SE), once at the root
+    err: Callable  # omega -> (E err, () -> (err SE, E(lrt - err), SE))
     delta_T: tuple  # (delta_T, SE)
     tol: float  # default step tolerance of ``solve``
     rows: np.ndarray = None  # Monte Carlo draws for E err, delta_K, delta_T; None if closed
 
 
 def _path(problem: FixedPointProblem) -> _Path:
-    """Closed forms for orthant and subspace, Monte Carlo for every other set."""
+    """Closed forms for orthant and subspace, Monte Carlo for every other set.
+
+    ``err(omega)`` returns E err and a call that gives the rest of the
+    evaluation, which ``solve`` makes only at the root it reports: the
+    closed forms compute E lrt there, Monte Carlo reads the rows it kept.
+    """
     K, n, signal, mc = problem.constraint, problem.n, problem.signal, problem.mc
     if isinstance(signal, DiscretePrior):
         return _Path(
-            err=lambda w: (n * w * w * prior_G(signal, w), 0.0),
-            final=lambda w: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0),
+            err=lambda w: (n * w * w * prior_G(signal, w),
+                           lambda: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0)),
             delta_T=(n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
             tol=1e-10,
         )
@@ -299,24 +369,20 @@ def _path(problem: FixedPointProblem) -> _Path:
     if not K.contains(mu0):
         raise DomainError("signal must belong to the constraint set")
     if K.kind == "orthant":
-        return _Path(
-            err=lambda w: (orthant_err_closed_form(mu0, w), 0.0),
-            final=lambda w: (0.0, orthant_lrt_closed_form(mu0, w)
-                             - orthant_err_closed_form(mu0, w), 0.0),
-            delta_T=tangent_dimension(K, mu0, None), tol=1e-10,
-        )
+        def orthant_err(w):
+            e = orthant_err_closed_form(mu0, w)
+            return e, lambda: (0.0, orthant_lrt_closed_form(mu0, w) - e, 0.0)
+
+        return _Path(err=orthant_err, delta_T=tangent_dimension(K, mu0, None), tol=1e-10)
     if K.kind == "subspace":
-        return _Path(err=lambda w: (w**2 * K.subspace_dim, 0.0),
-                     final=lambda w: (0.0, 0.0, 0.0),
+        return _Path(err=lambda w: (w**2 * K.subspace_dim, lambda: (0.0, 0.0, 0.0)),
                      delta_T=tangent_dimension(K, mu0, None), tol=1e-10)
 
     H = gaussian_rows(mc.seed, mc.samples, n)
 
     def err(w):
-        return mean_se(process_rows(K, mu0, w, H)[0])
-
-    def final(w):
         e, lrt, _ = process_rows(K, mu0, w, H)
-        return (mean_se(e)[1],) + mean_se(lrt - e)
+        mean, se = mean_se(e)
+        return mean, lambda: (se,) + mean_se(lrt - e)
 
-    return _Path(err=err, final=final, delta_T=tangent_dimension(K, mu0, H), tol=1e-6, rows=H)
+    return _Path(err=err, delta_T=tangent_dimension(K, mu0, H), tol=1e-6, rows=H)

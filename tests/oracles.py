@@ -8,7 +8,8 @@ runs scipy's bounded least squares on increments, the divergence oracle differen
 numerically, and the gradient mapping takes its step from an exact
 spectral norm instead of power iteration.  The orthant fixed-point oracle
 integrates the projection error directly and solves the risk equation by
-bracketing, without the kernels G/H or the monotone iteration.  The
+bracketing, without the kernels G/H or the package's root-finder; the
+generic fixed-point oracle runs scipy's ``brentq`` on any E err map.  The
 monotone tangent-cone dimension is the exact sum of harmonic numbers over
 the signal's constant blocks; the l1 ball's tangent-cone projection is a
 one-dimensional minimization per row, solved by Brent's method.  ``process_rows_reference`` keeps the
@@ -276,3 +277,24 @@ def orthant_fixed_point_oracle(mu0, m: int, sigma: float = 1.0):
     w = omega(r_sq)
     dof = float(sum(c * norm.cdf(v / w) for v, c in zip(values, counts)))
     return r_sq, dof, 1.0 + w * w * (dof - m) / (n * sigma**2)
+
+
+def fixed_point_root_oracle(err, n: int, m: int, sigma: float = 1.0) -> tuple:
+    """Root r^2 of ``err(omega(r)) = n r^2`` by scipy's ``brentq`` at xtol 1e-14.
+
+    ``err(w)`` is E err at noise level w (a closed form, or a Monte Carlo
+    mean over fixed rows) and ``omega(r) = sqrt((r^2 + sigma^2) n / m)``.
+    The bracket [0, hi] doubles hi from sigma^2 until the map falls below
+    n r^2.  Returns ``(r_sq, slack)``, slack being brentq's bound
+    ``xtol + rtol * r_sq`` on the distance to a sign change.
+    """
+    def excess(r_sq):
+        return err(math.sqrt((r_sq + sigma**2) * n / m)) - n * r_sq
+
+    hi = sigma**2
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    xtol, rtol = 1e-14, 4.0 * np.finfo(float).eps
+    r_sq = brentq(excess, 0.0, hi, xtol=xtol, rtol=rtol)
+    return r_sq, xtol + rtol * r_sq
+

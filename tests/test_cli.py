@@ -181,6 +181,21 @@ class TestSubcommands:
         assert payload["status"] == "converged"
         assert payload["r_sq"] == pytest.approx(25.0 / 75.0, rel=1e-5)
         assert payload["regime"] == "I"
+        # iterations counts the E err evaluations; the bracket's ends are two of them
+        lo, hi = payload["bracket"]
+        assert lo == payload["r_sq"] == payload["trace"][-1] and lo <= 25.0 / 75.0 <= hi
+        assert payload["iterations"] == len(payload["trace"]) - 1
+        assert f"iterations: {payload['iterations']}\nbracket on r_sq: [{lo!r}, {hi!r}]\n" in out
+
+    @pytest.mark.filterwarnings("ignore:m = 20 is below 10 \\* L_n:RuntimeWarning")
+    def test_fixed_point_bracket_without_solution(self, capsys):
+        args = ["fixed-point", "--constraint", "orthant", "--n", "50", "--m", "20",
+                "--signal", "zero"]
+        assert run(args) == 0
+        assert "iterations: 0\nbracket on r_sq: None\n" in capsys.readouterr().out
+        assert run(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "no_solution" and payload["bracket"] is None
 
     @pytest.mark.parametrize("constraint, signal, samples", [
         ("orthant", "constant:5", 10_000),

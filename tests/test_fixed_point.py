@@ -1,7 +1,9 @@
 """Fixed-point solver, NNLS analytic path, and regime classification."""
 
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from riskfix.fixed_point import (
 )
 from riskfix.kernels import DiscretePrior
 from riskfix.seeds import gaussian_rows
-from riskfix.sequence import process_rows
+from riskfix.experiments import resolve_constraint, resolve_signal
+from riskfix.sequence import orthant_err_closed_form, process_rows
+
+from oracles import fixed_point_root_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def quiet_solve(problem, **kw):
@@ -36,6 +45,11 @@ def subspace_problem(d=10, n=100, m=40, sigma2=1.0):
 def orthant_problem(u=0.0, n=50, m=40, sigma2=1.0):
     K = ConstraintSet.orthant(n)
     return FixedPointProblem(K, np.full(n, float(u)), m, n, sigma2)
+
+
+def orthant_oracle_root(m, n=50, u=5.0):
+    """brentq's root of the orthant closed form that ``orthant_problem`` solves."""
+    return fixed_point_root_oracle(lambda w: orthant_err_closed_form(np.full(n, u), w), n, m)
 
 
 class TestOmega:
@@ -130,6 +144,12 @@ class TestSolveClosedForms:
         assert len(sol.trace) == 4
         assert sol.r_sq == sol.trace[-1]
 
+    def test_no_evaluation_rejected(self):
+        with pytest.raises(DomainError, match="max_iter"):
+            quiet_solve(orthant_problem(u=5.0, m=60), max_iter=0)
+        with pytest.raises(DomainError, match="max_iter"):
+            nnls_solve(DiscretePrior.point_mass(5.0), 2.0, 1.0, max_iter=0)
+
     @pytest.mark.parametrize("tol", [math.inf, 1e3, 1.0, math.nan, 0.0, -1.0])
     def test_tol_outside_unit_interval_rejected(self, tol):
         # at tol >= 1 the first steps pass, and "converged" sat at r^2 = 0.75
@@ -143,13 +163,44 @@ class TestSolveClosedForms:
         restart = quiet_solve(orthant_problem(u=5.0, m=60), tol=tol, r0_sq=10.0 * base.r_sq)
         assert abs(math.sqrt(restart.r_sq) - math.sqrt(base.r_sq)) <= 5.0 * tol * math.sqrt(base.r_sq)
 
-    def test_eventual_linear_convergence(self):
-        sol = quiet_solve(orthant_problem(u=5.0, m=60), tol=1e-12)
-        r_star = math.sqrt(sol.r_sq)
-        errors = [abs(math.sqrt(t) - r_star) for t in sol.trace]
-        tail = [e2 / e1 for e1, e2 in zip(errors[-6:-2], errors[-5:-1]) if e1 > 1e-13]
-        assert tail and all(ratio <= 1.0 + 1e-9 for ratio in tail)
-        assert tail[-1] < 1.0
+    def test_bracket_holds_oracle_root(self):
+        # the evaluated ends straddle brentq's root of the same closed form,
+        # within the step tolerance; the root is reported at the lower end,
+        # and the lower ends never decrease
+        tol = 1e-12
+        for m in (60, 100, 400):
+            sol = quiet_solve(orthant_problem(u=5.0, m=m), tol=tol)
+            root, slack = orthant_oracle_root(m)
+            lo, hi = sol.bracket
+            assert sol.status == "converged" and sol.r_sq == lo == sol.trace[-1], m
+            assert lo - slack <= root <= hi + slack, m
+            assert math.sqrt(hi) - math.sqrt(lo) <= tol * math.sqrt(lo), m
+            assert np.all(np.diff(sol.trace) >= 0.0), m
+
+    @pytest.mark.parametrize("m", [26, 30, 40])
+    def test_near_phase_boundary_converges(self, m):
+        # delta_K = 25: the monotone iteration contracted by about
+        # r^2 / (r^2 + sigma^2) and stopped at the 200-iteration cap at m=26
+        # (root 315.08); m=30 took 155 iterations and m=40 85
+        sol = quiet_solve(orthant_problem(u=5.0, m=m))
+        root, slack = orthant_oracle_root(m)
+        lo, hi = sol.bracket
+        assert sol.status == "converged" and len(sol.trace) - 1 <= 20
+        assert lo - slack <= root <= hi + slack
+        assert math.sqrt(hi) - math.sqrt(lo) <= 1e-10 * math.sqrt(lo)
+
+    def test_start_above_the_root(self):
+        # from above, the first evaluation is the upper end and the trace
+        # holds the start until a lower end is evaluated
+        base = quiet_solve(orthant_problem(u=5.0, m=60))
+        sol = quiet_solve(orthant_problem(u=5.0, m=60), r0_sq=10.0 * base.r_sq)
+        assert sol.trace[:2] == [10.0 * base.r_sq] * 2
+        assert sol.status == "converged"
+        assert sol.bracket[0] <= base.bracket[1] and base.bracket[0] <= sol.bracket[1]
+        capped = quiet_solve(orthant_problem(u=5.0, m=60), r0_sq=10.0 * base.r_sq, max_iter=1)
+        assert capped.status == "max_iterations"
+        assert capped.r_sq == capped.trace[-1] == 10.0 * base.r_sq
+        assert capped.bracket == (0.0, 10.0 * base.r_sq)
 
     def test_bounds_hold(self):
         for problem, tol in [
@@ -243,7 +294,7 @@ class TestEvaluationPath:
             assert default.status == "converged"
             assert chosen == default, K.kind
 
-    def test_one_monte_carlo_pass_per_iteration_and_root(self, monkeypatch):
+    def test_one_monte_carlo_pass_per_evaluation(self, monkeypatch):
         calls = []
 
         def counting(*args):
@@ -256,7 +307,22 @@ class TestEvaluationPath:
                                     MonteCarloConfig(samples=500, seed=34))
         sol = quiet_solve(problem)
         assert sol.status == "converged"
-        assert len(calls) == (len(sol.trace) - 1) + 1
+        # the R2 statistic and r_se come from the evaluation at the root
+        assert len(calls) == len(sol.trace) - 1
+
+    def test_bracket_holds_oracle_root_on_rows(self):
+        # brentq on the mean over the solve's own rows: the same empirical map
+        n, m, mc = 40, 40, MonteCarloConfig(samples=500, seed=36)
+        K, mu0 = ConstraintSet.monotone_cone(n), np.linspace(0.0, 2.0, n)
+        H = gaussian_rows(mc.seed, mc.samples, n)
+        tol = 1e-10
+        sol = quiet_solve(FixedPointProblem(K, mu0, m, n, 1.0, mc), tol=tol)
+        root, slack = fixed_point_root_oracle(lambda w: process_rows(K, mu0, w, H)[0].mean(), n, m)
+        lo, hi = sol.bracket
+        assert sol.status == "converged" and sol.r_sq == lo
+        assert lo * (1 - 1e-13) - slack <= root <= hi * (1 + 1e-13) + slack
+        assert math.sqrt(hi) - math.sqrt(lo) <= tol * math.sqrt(lo)
+        assert np.all(np.diff(sol.trace) >= 0.0)
 
     def test_one_draw_per_monte_carlo_solve(self, monkeypatch):
         # delta_K, delta_T and every E err evaluation read the same rows;
@@ -283,6 +349,25 @@ class TestEvaluationPath:
             sol = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, mc))
             assert sol.status == "converged", K.kind
             assert len(calls) == draws, K.kind
+
+
+class TestEvaluationCount:
+    def test_nnls_grid_err_evaluations(self, monkeypatch):
+        # the benchmark's nnls-grid theory took 163 E err evaluations with the
+        # monotone iteration (159 closed-form steps, 4 at the roots)
+        calls = []
+        for name in ("orthant_err_closed_form", "orthant_lrt_closed_form", "process_rows"):
+            real = getattr(fixed_point, name)
+            monkeypatch.setattr(fixed_point, name,
+                                lambda *args, real=real: calls.append(1) or real(*args))
+        config = workloads.WORKLOADS["nnls-grid"].config(0)
+        for spec in config.signals:
+            for n, m in config.grid:
+                sol = quiet_solve(FixedPointProblem(
+                    resolve_constraint(config.constraint, n), resolve_signal(spec, n),
+                    m, n, config.sigma**2))
+                assert sol.status == "converged"
+        assert 0 < len(calls) <= 30
 
 
 class TestNnls:
