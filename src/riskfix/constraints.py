@@ -201,18 +201,14 @@ def polar_project(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
 def statistical_dimension(K: ConstraintSet, H: np.ndarray):
     """Statistical dimension delta_K, the high-noise limit of E err(s)/s^2, with SE.
 
-    Per kind: orthant n/2 and subspace d in closed form; the l1 ball 0,
-    since a bounded set's recession cone is {0}; the monotone cone as the
-    mean of ||Pi_K(h)||^2 over the standard Gaussian rows h of ``H``.
-    Closed forms never read ``H`` (pass None) and have zero standard error.
+    The l1 ball gives 0, since a bounded set's recession cone is {0}.  A cone
+    is its own tangent cone at the apex, T_K(0) = K, so delta_K is
+    ``tangent_dimension`` at mu0 = 0, which reads ``H`` only for the
+    monotone cone (pass None otherwise).
     """
-    if K.kind == "orthant":
-        return K.n / 2.0, 0.0
-    if K.kind == "subspace":
-        return float(K.subspace_dim), 0.0
-    if K.kind == "l1_ball":
+    if not K.is_cone:
         return 0.0, 0.0
-    return mean_se(row_sq_norms(project_rows(K, H)))
+    return tangent_dimension(K, np.zeros(K.n), H)
 
 
 def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
@@ -232,7 +228,8 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     ``h`` of ``H``, in one ``project_rows`` pass of lifted rows.  Monotone
     cone: T is the product of monotone cones over mu0's constant blocks
     (exact ties; any gap splits a block); block b is lifted by
-    b * (row range + 1), and a constant mu0 gives ``statistical_dimension``.
+    b * (row range + 1), and one block (a constant mu0) is K itself, whose
+    rows ``H`` are projected as they are.
     Blocks, l1 support and sphere test are ``face_span``'s.  l1 ball off the
     sphere: T = R^n, the mean of ||h||^2.  On the sphere,
     T = {v : <s, v> + ||v off S||_1 <= 0} with S = supp mu0, s = sign mu0;
@@ -248,6 +245,8 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         return (K.n + int(np.count_nonzero(mu0 > 0.0))) / 2.0, 0.0
     label, s = face_span(K, mu0)
     if K.kind == "monotone_cone":
+        if not label[-1]:
+            return mean_se(row_sq_norms(project_rows(K, H)))
         # Lifting block b of each row by b * (row range + 1) puts every block
         # strictly above the one before, so PAVA never pools across blocks.
         scale, shift = (H.max(axis=1) - H.min(axis=1) + 1.0)[:, None], label

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,9 +35,6 @@ CSV_COLUMNS = (
     "r_theory_sq", "r_theory_se", "risk_emp_mean", "risk_emp_se",
     "ratio", "r2_statistic", "regime", "runtime_seconds",
 )
-
-_INT_COLUMNS = {"n", "m"}
-_STR_COLUMNS = {"experiment_id", "constraint", "signal", "regime"}
 
 
 @dataclass
@@ -367,22 +364,14 @@ def parse_records(path: str, format: str = "csv"):
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ConfigError(f"{path}: unexpected CSV header")
+        types = {f.name: f.type for f in fields(ExperimentRecord)}
         records = []
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
-            cells = line.split(",")
-            row = {}
-            for col, cell in zip(CSV_COLUMNS, cells):
-                if col in _STR_COLUMNS:
-                    row[col] = cell
-                elif cell == "":
-                    row[col] = None
-                elif col in _INT_COLUMNS:
-                    row[col] = int(cell)
-                else:
-                    row[col] = float(cell)
+            row = {col: cell if types[col] is str else None if cell == "" else types[col](cell)
+                   for col, cell in zip(CSV_COLUMNS, line.split(","))}
             records.append(ExperimentRecord(**row))
         return records
 

@@ -156,27 +156,21 @@ def solve(
     ``tol=None`` takes 1e-10 on the closed forms and 1e-6 on Monte Carlo; a
     tol must lie in (0, 1).  ``max_iter`` caps the evaluations of E err.
     The root is reported at ``lo``, and the R2 statistic and ``r_se`` come
-    from the evaluation there.
+    from the evaluation there.  Past the gate, ``m`` below ``10 * L_n`` warns
+    (RuntimeWarning) that the characterization degrades.
     """
     m, n = problem.m, problem.n
     sigma2 = problem.sigma2
     sigma = math.sqrt(sigma2)
     path = _path(problem)
     if tol is None:
-        tol = path.tol
+        tol = 1e-10 if path.rows is None else 1e-6
     if not 0 < tol < 1:  # at 1 or above the first steps pass: "converged" certifies nothing
         raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
 
     delta_k, se_k = statistical_dimension(problem.constraint, path.rows)
     delta_t, se_t = path.delta_T
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
-    if m < 10.0 * l_n:
-        warnings.warn(
-            f"m = {m} is below 10 * L_n = {10.0 * l_n:.2f}; the risk "
-            "characterization degrades near the parametric rate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     regime = classify_regime(m, delta_k, se_k, delta_t, se_t)
     bounds = (
         delta_k / (m - delta_k) if m > delta_k else math.inf,
@@ -189,6 +183,13 @@ def solve(
             delta_K=delta_k, delta_K_se=se_k, delta_T=delta_t, delta_T_se=se_t,
             regime=regime, r2_statistic=None, r2_se=0.0, r2_holds=None,
             r2_verified=None, L_n=l_n, bounds=bounds,
+        )
+    if m < 10.0 * l_n:
+        warnings.warn(
+            f"m = {m} is below 10 * L_n = {10.0 * l_n:.2f}; the risk "
+            "characterization degrades near the parametric rate",
+            RuntimeWarning,
+            stacklevel=2,
         )
 
     delta = m / n
@@ -346,7 +347,6 @@ class _Path(NamedTuple):
 
     err: Callable  # omega -> (E err, () -> (err SE, E(lrt - err), SE))
     delta_T: tuple  # (delta_T, SE)
-    tol: float  # default step tolerance of ``solve``
     rows: np.ndarray = None  # Monte Carlo draws for E err, delta_K, delta_T; None if closed
 
 
@@ -363,7 +363,6 @@ def _path(problem: FixedPointProblem) -> _Path:
             err=lambda w: (n * w * w * prior_G(signal, w),
                            lambda: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0)),
             delta_T=(n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
-            tol=1e-10,
         )
     mu0 = np.asarray(signal, dtype=float)
     if not K.contains(mu0):
@@ -373,10 +372,10 @@ def _path(problem: FixedPointProblem) -> _Path:
             e = orthant_err_closed_form(mu0, w)
             return e, lambda: (0.0, orthant_lrt_closed_form(mu0, w) - e, 0.0)
 
-        return _Path(err=orthant_err, delta_T=tangent_dimension(K, mu0, None), tol=1e-10)
+        return _Path(err=orthant_err, delta_T=tangent_dimension(K, mu0, None))
     if K.kind == "subspace":
         return _Path(err=lambda w: (w**2 * K.subspace_dim, lambda: (0.0, 0.0, 0.0)),
-                     delta_T=tangent_dimension(K, mu0, None), tol=1e-10)
+                     delta_T=tangent_dimension(K, mu0, None))
 
     H = gaussian_rows(mc.seed, mc.samples, n)
 
@@ -385,4 +384,4 @@ def _path(problem: FixedPointProblem) -> _Path:
         mean, se = mean_se(e)
         return mean, lambda: (se,) + mean_se(lrt - e)
 
-    return _Path(err=err, delta_T=tangent_dimension(K, mu0, H), tol=1e-6, rows=H)
+    return _Path(err=err, delta_T=tangent_dimension(K, mu0, H), rows=H)

@@ -95,7 +95,8 @@ def amp_solve(
 
     with k_t the projection divergence at the pre-projection point, starting
     from mu^0 = 0, r^0 = Y.  Stops unconverged when the iterate norm exceeds
-    1e6 * (||mu0|| + sqrt(n) * noise scale) (``fallback = "blowup"``), or
+    1e6 * sqrt(n/m) * ||Y||, a scale read from the data alone, of the order
+    of ||mu0|| + sqrt(n) sigma (``fallback = "blowup"``), or
     after ``max_iter`` iterations (``"cap"``; ``"blowup"`` too if the last
     iterate fits Y worse than mu^0 does, so is still diverging).  Falling
     back to PGD is left to ``solve_instance``.
@@ -109,8 +110,7 @@ def amp_solve(
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
-    noise_scale = float(np.linalg.norm(inst.xi) / math.sqrt(m))
-    blowup = 1e6 * (np.linalg.norm(inst.mu0) + math.sqrt(n) * noise_scale)
+    blowup = 1e6 * math.sqrt(n / m) * float(np.linalg.norm(Y))
     mu = np.zeros(n)
     mu_norm = 0.0
     r = Y.copy()

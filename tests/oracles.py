@@ -26,7 +26,7 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq, lsq_linear
 from scipy.stats import norm
 
-from riskfix.constraints import ConstraintSet, l1_threshold, project, project_rows, row_sq_norms
+from riskfix.constraints import ConstraintSet, project, project_rows, row_sq_norms
 
 
 def monotone_projection_oracle(x: np.ndarray) -> np.ndarray:
@@ -209,8 +209,7 @@ def near_tie(K: ConstraintSet, x: np.ndarray, gap: float = 1e-6) -> bool:
     if K.kind == "orthant":
         return bool(np.any(np.abs(x) < gap))
     if K.kind == "monotone_cone":
-        res = project(K, x)
-        means = np.unique(res.point)
+        means = np.unique(monotone_projection_oracle(x))
         return bool(np.any(np.diff(means) < gap))
     if K.kind == "l1_ball":
         s = np.abs(x).sum()
@@ -218,7 +217,7 @@ def near_tie(K: ConstraintSet, x: np.ndarray, gap: float = 1e-6) -> bool:
             return True
         if s <= K.radius:
             return False
-        mu = l1_threshold(x, K.radius)
+        mu = l1_threshold_oracle(x, K.radius)
         return bool(np.any(np.abs(np.abs(x) - mu) < gap))
     return False
 

@@ -187,7 +187,6 @@ class TestSubcommands:
         assert payload["iterations"] == len(payload["trace"]) - 1
         assert f"iterations: {payload['iterations']}\nbracket on r_sq: [{lo!r}, {hi!r}]\n" in out
 
-    @pytest.mark.filterwarnings("ignore:m = 20 is below 10 \\* L_n:RuntimeWarning")
     def test_fixed_point_bracket_without_solution(self, capsys):
         args = ["fixed-point", "--constraint", "orthant", "--n", "50", "--m", "20",
                 "--signal", "zero"]

@@ -671,11 +671,29 @@ class TestDimensions:
         assert abs(est - monotone_tangent_oracle(mu0)) <= 4.0 * se
         assert calls == [rows.shape]
 
-    def test_monotone_tangent_of_constant_signal_is_delta_k(self):
+    @pytest.mark.parametrize("K, H", [
+        (ConstraintSet.orthant(20), None),
+        (ConstraintSet.monotone_cone(30), gaussian_rows(8, 500, 30)),
+        (ConstraintSet.coordinate_subspace(10, 4), None),
+    ], ids=["orthant", "monotone_cone", "subspace"])
+    def test_statistical_dimension_is_tangent_dimension_at_apex(self, K, H):
+        # T_K(0) = K for a cone
+        assert statistical_dimension(K, H) == tangent_dimension(K, np.zeros(K.n), H)
+
+    def test_monotone_tangent_of_constant_signal_is_delta_k(self, monkeypatch):
+        # one block is K itself: no lift, so project_rows gets H, not a lifted copy
         K = ConstraintSet.monotone_cone(30)
         H = gaussian_rows(8, 500, 30)
+        seen = []
+
+        def recording(K, Y):
+            seen.append(Y)
+            return project_rows(K, Y)
+
+        monkeypatch.setattr(constraints, "project_rows", recording)
         for mu0 in (np.zeros(30), np.full(30, -2.5)):
             assert tangent_dimension(K, mu0, H) == statistical_dimension(K, H)
+        assert len(seen) == 4 and all(Y is H for Y in seen)
 
     @pytest.mark.parametrize("mu0, seed, reference", [
         # the l1-grid signal on the sphere of radius 50.5: S is everything, so

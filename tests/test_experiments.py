@@ -371,3 +371,16 @@ class TestReports:
         path = str(tmp_path / "b.csv")
         emit_report([rec], "csv", path)
         assert parse_records(path, "csv")[0] == rec
+
+    def test_error_record_round_trips(self, tmp_path):
+        # a failed cell: its regime is the error text, every estimate blank
+        rec = ExperimentRecord(
+            experiment_id="x-001", n=5, m=2, sigma=1.0, constraint="l1_ball:-1",
+            signal="zero", r_theory_sq=None, r_theory_se=None,
+            risk_emp_mean=None, risk_emp_se=None, ratio=None,
+            r2_statistic=None, regime="error: l1_ball needs a positive radius",
+            runtime_seconds=0.0,
+        )
+        path = str(tmp_path / "e.csv")
+        emit_report([rec], "csv", path)
+        assert parse_records(path, "csv") == [rec]

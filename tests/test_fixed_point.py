@@ -128,6 +128,18 @@ class TestSolveClosedForms:
         assert sol.r_sq is None and sol.omega is None
         assert sol.bounds[0] == math.inf
 
+    def test_no_solution_does_not_warn_of_L_n(self):
+        # the L_n warning qualifies a reported root, and below delta_K there is none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve(orthant_problem(u=0.0, m=20))
+        assert sol.status == "no_solution" and 20 < 10.0 * sol.L_n
+
+    def test_root_below_ten_L_n_warns(self):
+        with pytest.warns(RuntimeWarning, match=r"m = 30 is below 10 \* L_n"):
+            sol = solve(orthant_problem(u=5.0, m=30))
+        assert sol.status == "converged"
+
     def test_boundary_m_equals_delta(self):
         sol = quiet_solve(orthant_problem(u=0.0, m=25))
         assert sol.status == "no_solution"

@@ -435,7 +435,7 @@ class TestAmp:
         amp = amp_solve(K, inst)
         assert amp.solver == "amp" and not amp.converged
         assert amp.fallback == "blowup"  # its capped iterate fits Y worse than zero
-        # given 100 iterations, the norm bound stops it before the cap (at 97)
+        # given 100 iterations, the norm bound stops it before the cap (at 95)
         assert amp_solve(K, inst, max_iter=100).iterations < 100
 
         calls = []
@@ -459,6 +459,24 @@ class TestAmp:
         assert forced.fallback == "blowup"
         np.testing.assert_array_equal(forced.mu_hat, amp.mu_hat)
         assert len(calls) == 1
+
+    def test_blowup_bound_reads_only_the_data(self):
+        # one X and Y split three ways into X mu0 + xi: no estimator sees the
+        # split, so AMP stops where it stops on all three (the bound fires at
+        # 95 of 100 iterations here)
+        n, m = 50, 20
+        K = ConstraintSet.orthant(n)
+        inst = generate_instance(m, n, np.full(n, 5.0), 1.0, seed=child_seed(5, 0))
+        runs = []
+        for mu0 in (np.full(n, 5.0), np.zeros(n), np.full(n, 50.0)):
+            split = replace(inst, mu0=mu0, xi=inst.Y - inst.X @ mu0)
+            runs.append(amp_solve(K, split, max_iter=100))
+        first = runs[0]
+        assert first.fallback == "blowup" and first.iterations < 100
+        for res in runs[1:]:
+            np.testing.assert_array_equal(res.mu_hat, first.mu_hat)
+            assert (res.iterations, res.objective, res.fallback) == (
+                first.iterations, first.objective, first.fallback)
 
     def test_capped_amp_fitting_worse_than_zero_blew_up(self):
         # zero signal, m < n/2: at the cap AMP's iterate (norm ~220, below the
@@ -507,7 +525,9 @@ class TestAmp:
         # starts on the minimizer's face and certifies it at once
         K = ConstraintSet.monotone_cone(100)
         mu0 = resolve_signal(signal, 100)
-        emp_seed = child_seed(child_seed(0, cell), 1)  # experiments._run_cell's
+        # each cell's own design seed from before signals shared designs;
+        # experiments._run_grid_point now draws every signal's from cell 0's
+        emp_seed = child_seed(child_seed(0, cell), 1)
         for i in replicates:
             inst = generate_instance(100, 100, mu0, 1.0, seed=child_seed(emp_seed, i))
             res = solve_instance(K, inst, "auto")
