@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -191,19 +191,12 @@ def cmd_fixed_point(args) -> None:
     problem = FixedPointProblem(constraint=K, signal=signal, m=args.m, n=args.n,
                                 sigma2=args.sigma**2, mc=mc)
     sol = solve(problem, tol=args.tol)
+    iterations = max(len(sol.trace) - 1, 0)
     if args.json:
-        payload = {
-            "status": sol.status, "r_sq": sol.r_sq, "omega": sol.omega,
-            "regime": sol.regime, "r2_statistic": sol.r2_statistic,
-            "r2_holds": sol.r2_holds, "r2_verified": sol.r2_verified,
-            "delta_K": sol.delta_K, "delta_K_se": sol.delta_K_se,
-            "delta_T": sol.delta_T, "delta_T_se": sol.delta_T_se,
-            "L_n": sol.L_n,
-            "bounds": [_json_safe(b) for b in sol.bounds],
-            "iterations": max(len(sol.trace) - 1, 0),
-            "bracket": sol.bracket and [_json_safe(b) for b in sol.bracket],
-            "trace": sol.trace,
-        }
+        payload = asdict(sol)
+        payload["bounds"] = [_json_safe(b) for b in sol.bounds]
+        payload["bracket"] = sol.bracket and [_json_safe(b) for b in sol.bracket]
+        payload["iterations"] = iterations
         _write(args, json.dumps(payload, indent=2) + "\n")
         return
     lines = [
@@ -216,7 +209,7 @@ def cmd_fixed_point(args) -> None:
         f"delta_K: {sol.delta_K!r} +- {sol.delta_K_se!r}",
         f"delta_T: {sol.delta_T!r} +- {sol.delta_T_se!r}",
         f"L_n: {sol.L_n!r}",
-        f"iterations: {max(len(sol.trace) - 1, 0)}",
+        f"iterations: {iterations}",
         f"bracket on r_sq: {sol.bracket and list(sol.bracket)}",
     ]
     _write(args, "\n".join(lines) + "\n")

@@ -225,13 +225,14 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     Closed forms, which never read ``H``: orthant gives (n + p)/2 with p the
     number of positive coordinates of mu0; a subspace is its own tangent cone.
     Otherwise the mean of ||Pi_T(h)||^2 over the standard Gaussian rows
-    ``h`` of ``H``, in one ``project_rows`` pass of lifted rows.  Monotone
+    ``h`` of ``H``.  T = R^n, the mean of ||h||^2 with no projection, when
+    mu0 lies off the l1 sphere or strictly increases (n blocks of one).
+    Else one ``project_rows`` pass of lifted rows.  Monotone
     cone: T is the product of monotone cones over mu0's constant blocks
     (exact ties; any gap splits a block); block b is lifted by
     b * (row range + 1), and one block (a constant mu0) is K itself, whose
     rows ``H`` are projected as they are.
-    Blocks, l1 support and sphere test are ``face_span``'s.  l1 ball off the
-    sphere: T = R^n, the mean of ||h||^2.  On the sphere,
+    Blocks, l1 support and sphere test are ``face_span``'s.  On the sphere,
     T = {v : <s, v> + ||v off S||_1 <= 0} with S = supp mu0, s = sign mu0;
     each row is lifted by L s, L = 2 max|H| + 1, and projected onto the ball
     of radius L |S|.
@@ -244,6 +245,8 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     if K.kind == "orthant":  # face_span's positive support, counted without labels
         return (K.n + int(np.count_nonzero(mu0 > 0.0))) / 2.0, 0.0
     label, s = face_span(K, mu0)
+    if s is None and label[-1] == K.n - 1:  # l1 interior, or n blocks of one: T = R^n
+        return mean_se(row_sq_norms(H))
     if K.kind == "monotone_cone":
         if not label[-1]:
             return mean_se(row_sq_norms(project_rows(K, H)))
@@ -251,8 +254,6 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         # strictly above the one before, so PAVA never pools across blocks.
         scale, shift = (H.max(axis=1) - H.min(axis=1) + 1.0)[:, None], label
         K_T = K
-    elif s is None:
-        return mean_se(row_sq_norms(H))
     else:
         # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
         # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).

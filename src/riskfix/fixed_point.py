@@ -17,7 +17,10 @@ which side of the root it lies.  The residual non-degeneracy statistic
     (E lrt(omega_n) - E err(omega_n)) / (2 n sigma^2)
 
 must stay below 1 for the risk characterization to apply; it is reported
-with a Monte Carlo standard error, from the evaluation at the root.
+with a Monte Carlo standard error, from the evaluation at the root.  The
+root-finder sees the plain map s -> E err / n; ``solve`` keeps the rest of
+each evaluation by s (Monte Carlo's three reductions, or a closed form's
+call for E lrt) and reads it at the root it reports.
 """
 
 import math
@@ -193,14 +196,15 @@ def solve(
         )
 
     delta = m / n
+    finals = {}  # s -> the rest of its evaluation, read at the reported root
 
     def g(s):
-        e, final = path.err(omega(math.sqrt(s), delta, sigma))
-        return e / n, final
+        e, finals[s] = path.err(omega(math.sqrt(s), delta, sigma))
+        return e / n
 
-    (r_sq, final), bracket, trace, converged = _root(
+    r_sq, bracket, trace, converged = _root(
         g, max(r0_sq, 0.0), sigma2, delta_k / m, tol, max_iter)
-    err_se, gap_mean, gap_se = final()
+    err_se, gap_mean, gap_se = finals[r_sq]()
     scale = 2.0 * n * sigma2
     r2_stat = gap_mean / scale
     r2_se = gap_se / scale
@@ -237,9 +241,9 @@ def nnls_solve(
 
     def g(s):
         w = omega(math.sqrt(s), ratio, sigma)
-        return w * w * prior_G(prior, w), None
+        return w * w * prior_G(prior, w)
 
-    (r_sq, _), _, _, converged = _root(g, 0.0, sigma * sigma, 0.5 / ratio, tol, max_iter)
+    r_sq, _, _, converged = _root(g, 0.0, sigma * sigma, 0.5 / ratio, tol, max_iter)
     if not converged:
         warnings.warn("nnls_solve hit the iteration cap before the step tolerance",
                       RuntimeWarning, stacklevel=2)
@@ -249,11 +253,11 @@ def nnls_solve(
 def _root(g: Callable, s0: float, c: float, phi_inf: float, tol: float, max_iter: int):
     """Bracket the root of F(s) = g(s) - s from s0 and narrow it to tol in sqrt(s).
 
-    ``g(s)`` returns ``(value, payload)``.  The value is nondecreasing in s,
-    and phi = value / (s + c) is nonincreasing with limit ``phi_inf`` < 1 as
-    s -> inf (c = sigma^2, phi_inf = delta_K / m).  So F is positive below
-    its one root and negative above it, and with t = s / (s + c) the root
-    is where phi = t: an end's phi bounds the root's t from the other side.
+    ``g(s)`` returns a float, nondecreasing in s, and phi = g(s) / (s + c) is
+    nonincreasing with limit ``phi_inf`` < 1 as s -> inf (c = sigma^2,
+    phi_inf = delta_K / m).  So F is positive below its one root and negative
+    above it, and with t = s / (s + c) the root is where phi = t: an end's
+    phi bounds the root's t from the other side.
     Steps interpolate f = F / (s + c) = phi - t against u = c / (s + c),
     where f is linear when phi is constant (a cone at mu0 = 0):
       - from above, before any lower end: t = phi, a lower bound;
@@ -268,51 +272,51 @@ def _root(g: Callable, s0: float, c: float, phi_inf: float, tol: float, max_iter
         of the upper end moves down by tol/8, so the last two evaluations
         straddle the root and the lower end lies within about tol/4 of it.
 
-    Returns ``((s, payload), (lo, hi), trace, converged)``: the lower end
-    (the start while none is evaluated) with its payload, the bracket (0 and
-    inf for an end not evaluated), and the lower end after each evaluation,
-    starting at s0.  ``max_iter`` caps the evaluations.
+    Returns ``(s, (lo, hi), trace, converged)``: the lower end (s0 while
+    none is evaluated), the bracket (0 and inf for an end not evaluated),
+    and the lower end after each evaluation, starting at s0.  ``max_iter``
+    caps the evaluations.
     """
     if not max_iter >= 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    lo = hi = start = None  # evaluated points, (s, payload)
+    lo, hi = 0.0, math.inf  # evaluated ends, or 0 and inf (f_lo is None until lo is)
     u_lo, f_lo, u_hi, f_hi = 1.0, None, 0.0, phi_inf - 1.0  # false-position ends
     side = None  # the end the last evaluation replaced
     points = []  # (u, f) of the last three evaluations
     trace = [s0]
     s = s0
     for _ in range(max_iter):
-        value, payload = g(s)
-        start = start or (s, payload)
+        value = g(s)
         u, f = c / (s + c), (value - s) / (s + c)
         if value >= s:
-            lo = (s, payload)
+            lo = s
             if side == "lo":
                 f_hi /= 2.0
             u_lo, f_lo, side = u, f, "lo"
         if value <= s:
-            hi = (s, payload)
-            if side == "hi" and lo:
+            hi = s
+            if side == "hi" and f_lo is not None:
                 f_lo /= 2.0
             u_hi, f_hi, side = u, f, "hi"
-        trace.append((lo or start)[0])
-        if lo and hi and math.sqrt(hi[0]) - math.sqrt(lo[0]) <= tol * math.sqrt(lo[0]):
-            return lo, _bracket(lo, hi), trace, True
+        trace.append(s0 if f_lo is None else lo)
+        # an end not evaluated fails this test: sqrt(inf) is inf, and 0 < sqrt(hi)
+        if math.sqrt(hi) - math.sqrt(lo) <= tol * math.sqrt(lo):
+            return lo, (lo, hi), trace, True
         points = (points + [(u, f)])[-3:]
-        if lo is None:
+        if f_lo is None:
             s = c * value / (s + c - value)
             continue
         u = _interpolate(points) if len(points) > 1 else 1.0 - value / (s + c)
         if not u_hi < u < u_lo:
             u = u_lo - f_lo * (u_hi - u_lo) / (f_hi - f_lo)
         r = math.sqrt(c / u - c)
-        above_lo = r - math.sqrt(lo[0])
+        above_lo = r - math.sqrt(lo)
         if above_lo <= 0.25 * tol * r:
             r += 0.125 * tol * r
-        elif above_lo <= tol * r or hi and math.sqrt(hi[0]) - r <= 0.75 * tol * r:
+        elif above_lo <= tol * r or math.sqrt(hi) - r <= 0.75 * tol * r:
             r -= 0.125 * tol * r
         s = r * r
-    return lo or start, _bracket(lo, hi), trace, False
+    return trace[-1], (lo, hi), trace, False
 
 
 def _interpolate(points) -> float:
@@ -327,10 +331,6 @@ def _interpolate(points) -> float:
                 weight *= other / (other - f)
         total += u * weight
     return total
-
-
-def _bracket(lo, hi) -> tuple:
-    return (lo[0] if lo else 0.0, hi[0] if hi else math.inf)
 
 
 def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) -> R2Check:
@@ -355,7 +355,8 @@ def _path(problem: FixedPointProblem) -> _Path:
 
     ``err(omega)`` returns E err and a call that gives the rest of the
     evaluation, which ``solve`` makes only at the root it reports: the
-    closed forms compute E lrt there, Monte Carlo reads the rows it kept.
+    closed forms compute E lrt there; Monte Carlo reduces its rows at once
+    and keeps three floats, not the rows' arrays.
     """
     K, n, signal, mc = problem.constraint, problem.n, problem.signal, problem.mc
     if isinstance(signal, DiscretePrior):
@@ -382,6 +383,7 @@ def _path(problem: FixedPointProblem) -> _Path:
     def err(w):
         e, lrt, _ = process_rows(K, mu0, w, H)
         mean, se = mean_se(e)
-        return mean, lambda: (se,) + mean_se(lrt - e)
+        rest = (se,) + mean_se(lrt - e)
+        return mean, lambda: rest
 
     return _Path(err=err, delta_T=tangent_dimension(K, mu0, H), rows=H)

@@ -6,9 +6,11 @@ the projection divergence (the isotonic piece count generalized to every
 supported constraint).  The reference solver and fallback is accelerated
 projected gradient (FISTA with gradient restart) that polishes once per face
 by least squares on the face's affine hull, stopped on the gradient-mapping
-(KKT) residual and returning its best iterate; an AMP result counts as
-converged only if it passes the same test, and a rejected one starts the
-fallback unless AMP blew up.  K is reached only through ``constraints``
+(KKT) residual and returning its best iterate.  An AMP result counts as
+converged only if it passes that gradient-mapping test taken at step n with
+tolerance ``_KKT_TOL`` = 1e-7 (``_kkt_certified``), not at PGD's step
+m / sigma_max(X)^2 with tol 1e-10, and a rejected one starts the fallback
+unless AMP blew up.  K is reached only through ``constraints``
 (``project``; ``face`` and ``face_span`` for the polish), never by its kind.
 Empirical risk aggregates independent replicates with per-replicate child
 seeds; several signals can share each replicate's design and noise.

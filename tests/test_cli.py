@@ -1,13 +1,14 @@
 """CLI subcommand behavior and exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from riskfix.cli import main
 from riskfix.constraints import MonteCarloConfig
 from riskfix.experiments import resolve_constraint, resolve_signal
-from riskfix.fixed_point import FixedPointProblem, solve
+from riskfix.fixed_point import FixedPointProblem, FixedPointSolution, solve
 
 
 @pytest.fixture()
@@ -186,6 +187,17 @@ class TestSubcommands:
         assert lo == payload["r_sq"] == payload["trace"][-1] and lo <= 25.0 / 75.0 <= hi
         assert payload["iterations"] == len(payload["trace"]) - 1
         assert f"iterations: {payload['iterations']}\nbracket on r_sq: [{lo!r}, {hi!r}]\n" in out
+
+    def test_fixed_point_json_carries_every_solution_field(self, capsys):
+        args = ["fixed-point", "--constraint", "monotone_cone", "--n", "30", "--m", "60",
+                "--signal", "linear", "--samples", "500", "--seed", "4", "--json"]
+        assert run(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [f.name for f in fields(FixedPointSolution)] + ["iterations"]
+        sol = solve(FixedPointProblem(resolve_constraint("monotone_cone", 30),
+                                      resolve_signal("linear", 30), 60, 30, 1.0,
+                                      MonteCarloConfig(samples=500, seed=4)))
+        assert (payload["r_se"], payload["r2_se"]) == (sol.r_se, sol.r2_se) != (0.0, 0.0)
 
     def test_fixed_point_bracket_without_solution(self, capsys):
         args = ["fixed-point", "--constraint", "orthant", "--n", "50", "--m", "20",

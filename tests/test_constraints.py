@@ -669,7 +669,8 @@ class TestDimensions:
         monkeypatch.setattr(constraints, "project_rows", counting)
         est, se = tangent_dimension(ConstraintSet.monotone_cone(mu0.size), mu0, rows)
         assert abs(est - monotone_tangent_oracle(mu0)) <= 4.0 * se
-        assert calls == [rows.shape]
+        # a strictly increasing mu0 (all-distinct) has T = R^n and projects nothing
+        assert calls == ([] if np.all(np.diff(mu0) > 0.0) else [rows.shape])
 
     @pytest.mark.parametrize("K, H", [
         (ConstraintSet.orthant(20), None),
@@ -729,6 +730,18 @@ class TestDimensions:
         K = ConstraintSet.l1_ball(20, 5.0)
         for mu0 in (np.zeros(20), np.linspace(-0.4, 0.4, 20)):
             assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
+
+    @pytest.mark.parametrize("mu0", [resolve_signal("linear", 30), np.array([-2.0])],
+                             ids=["increasing", "n1"])
+    def test_monotone_tangent_of_n_blocks_is_the_row_mean(self, mu0, monkeypatch):
+        # n blocks of one, like the l1 interior: T = R^n, read off the face
+        def no_rows(*args):
+            raise AssertionError("project_rows called")
+
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
+        H = gaussian_rows(13, 500, mu0.size)
+        K = ConstraintSet.monotone_cone(mu0.size)
+        assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
 
     def test_l1_tangent_just_inside_the_sphere_reads_the_interior(self, monkeypatch):
         # face's sphere test, ||mu0||_1 >= (1 - 1e-12) radius, decides

@@ -20,7 +20,7 @@ from riskfix.fixed_point import (
     solve,
 )
 from riskfix.kernels import DiscretePrior
-from riskfix.seeds import gaussian_rows
+from riskfix.seeds import gaussian_rows, mean_se
 from riskfix.experiments import resolve_constraint, resolve_signal
 from riskfix.sequence import orthant_err_closed_form, process_rows
 
@@ -336,6 +336,18 @@ class TestEvaluationPath:
         assert math.sqrt(hi) - math.sqrt(lo) <= tol * math.sqrt(lo)
         assert np.all(np.diff(sol.trace) >= 0.0)
 
+    def test_root_statistics_are_the_rows_reductions_there(self):
+        # solve keeps three floats per evaluation and reads those at the root
+        n, m, mc = 40, 60, MonteCarloConfig(samples=500, seed=37)
+        K, mu0 = ConstraintSet.monotone_cone(n), resolve_signal("quadratic", n)
+        sol = quiet_solve(FixedPointProblem(K, mu0, m, n, 1.0, mc))
+        assert sol.status == "converged"
+        e, lrt, _ = process_rows(K, mu0, sol.omega, gaussian_rows(mc.seed, mc.samples, n))
+        gap_mean, gap_se = mean_se(lrt - e)
+        assert sol.r_se == mean_se(e)[1] / n
+        assert sol.r2_statistic == gap_mean / (2.0 * n)
+        assert sol.r2_se == gap_se / (2.0 * n)
+
     def test_one_draw_per_monte_carlo_solve(self, monkeypatch):
         # delta_K, delta_T and every E err evaluation read the same rows;
         # the closed forms draw none
@@ -380,6 +392,23 @@ class TestEvaluationCount:
                     m, n, config.sigma**2))
                 assert sol.status == "converged"
         assert 0 < len(calls) <= 30
+
+
+class TestRoot:
+    @pytest.mark.parametrize("phi, c", [(0.25, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("start", [0.0, 10.0])
+    def test_linear_map_of_a_cone_at_the_apex(self, phi, c, start):
+        # g(s) = phi (s + c): phi is constant, and the root is phi c / (1 - phi)
+        root, tol = phi * c / (1.0 - phi), 1e-10
+        s0 = start * root
+        s, (lo, hi), trace, converged = fixed_point._root(
+            lambda s: phi * (s + c), s0, c, phi, tol, 200)
+        assert converged and s == lo <= root <= hi
+        assert math.sqrt(hi) - math.sqrt(lo) <= tol * math.sqrt(lo)
+        # s0 stands in for the lower end until one is evaluated
+        assert trace[0] == s0 and trace[-1] == s
+        first = 0 if s0 <= root else trace.count(s0)
+        assert np.all(np.diff(trace[first:]) >= 0.0)
 
 
 class TestNnls:

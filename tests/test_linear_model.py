@@ -516,20 +516,19 @@ class TestAmp:
         assert forced.solver == "amp" and forced.fallback == "cap"
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("cell, signal, replicates", [
-        (0, "zero", (56, 73, 93)), (3, "linear", (4, 94)), (6, "quadratic", (139,)),
+    @pytest.mark.parametrize("signal, replicates", [
+        ("zero", (56, 73, 93)), ("linear", (73, 93, 114, 124, 145)), ("quadratic", (73,)),
     ], ids=["zero", "linear", "quadratic"])
-    def test_monotone_cone_hands_off_cheaply(self, cell, signal, replicates):
+    def test_monotone_cone_hands_off_cheaply(self, signal, replicates):
         # the isotonic-grid replicates at n = m = 100, seed 0, whose AMP
-        # reaches its cap (it would converge within 31-38 iterations): PGD
+        # reaches its cap (it would converge within 31-93 iterations): PGD
         # starts on the minimizer's face and certifies it at once
         K = ConstraintSet.monotone_cone(100)
         mu0 = resolve_signal(signal, 100)
-        # each cell's own design seed from before signals shared designs;
-        # experiments._run_grid_point now draws every signal's from cell 0's
-        emp_seed = child_seed(child_seed(0, cell), 1)
+        # grid point 0's design seed, which every signal's replicates share
+        design_seed = child_seed(child_seed(0, 0), 1)
         for i in replicates:
-            inst = generate_instance(100, 100, mu0, 1.0, seed=child_seed(emp_seed, i))
+            inst = generate_instance(100, 100, mu0, 1.0, seed=child_seed(design_seed, i))
             res = solve_instance(K, inst, "auto")
             assert res.solver == "pgd" and res.fallback == "cap", i
             assert res.converged and res.iterations <= 3, i
