@@ -13,6 +13,8 @@ theory and then its block.  Reports serialize to CSV or JSON with
 identical field names and values.
 """
 
+import csv
+import io
 import json
 import math
 import numbers
@@ -341,11 +343,11 @@ def emit_report(records, format: str = "csv", path: str = None):
     if not records:
         raise DomainError("emit_report needs at least one record")
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for rec in records:
-            row = asdict(rec)
-            lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
-        text = "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_csv_cell(row[c]) for c in CSV_COLUMNS] for row in map(asdict, records))
+        text = out.getvalue()
     elif format == "json":
         text = json.dumps([asdict(rec) for rec in records], indent=2) + "\n"
     else:
@@ -358,29 +360,21 @@ def emit_report(records, format: str = "csv", path: str = None):
 
 def parse_records(path: str, format: str = "csv"):
     """Inverse of emit_report, for round-tripping reports."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         if format == "json":
             return [ExperimentRecord(**row) for row in json.load(fh)]
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != CSV_COLUMNS:
             raise ConfigError(f"{path}: unexpected CSV header")
         types = {f.name: f.type for f in fields(ExperimentRecord)}
-        records = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            row = {col: cell if types[col] is str else None if cell == "" else types[col](cell)
-                   for col, cell in zip(CSV_COLUMNS, line.split(","))}
-            records.append(ExperimentRecord(**row))
-        return records
+        return [ExperimentRecord(**{
+            col: cell if types[col] is str else None if cell == "" else types[col](cell)
+            for col, cell in zip(CSV_COLUMNS, cells)}) for cells in reader if cells]
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value.replace(",", ";")
+    if value is None or isinstance(value, str):
+        return value or ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))

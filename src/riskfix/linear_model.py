@@ -3,17 +3,15 @@
 ``Y = X mu0 + xi`` with i.i.d. N(0, 1/n) design entries.  The constrained
 least squares program is solved by an AMP iteration whose Onsager term uses
 the projection divergence (the isotonic piece count generalized to every
-supported constraint).  The reference solver and fallback is accelerated
-projected gradient (FISTA with gradient restart) that polishes once per face
-by least squares on the face's affine hull, stopped on the gradient-mapping
-(KKT) residual and returning its best iterate.  An AMP result counts as
-converged only if it passes that gradient-mapping test taken at step n with
-tolerance ``_KKT_TOL`` = 1e-7 (``_kkt_certified``), not at PGD's step
-m / sigma_max(X)^2 with tol 1e-10, and a rejected one starts the fallback
-unless AMP blew up.  K is reached only through ``constraints``
-(``project``; ``face`` and ``face_span`` for the polish), never by its kind.
-Empirical risk aggregates independent replicates with per-replicate child
-seeds; several signals can share each replicate's design and noise.
+supported constraint), with accelerated projected gradient (FISTA with
+gradient restart) as the reference solver and fallback.  Both polish once
+per face on the face's affine hull and converge only on a KKT certificate:
+PGD's gradient mapping at step m / sigma_max(X)^2 with tol 1e-10, AMP's at
+step n with tolerance ``_KKT_TOL`` = 1e-7 (``_kkt_gap_small``).  K is
+reached only through ``constraints`` (``project``; ``face`` and
+``face_span`` for the polish), never by its kind.  Empirical risk aggregates
+independent replicates with per-replicate child seeds; several signals can
+share each replicate's design and noise.
 """
 
 import math
@@ -52,9 +50,8 @@ class SolverResult:
     solver: str  # "amp" | "pgd"
     converged: bool
     risk: float  # ||mu_hat - mu0||^2 / n
-    # Why AMP's result was rejected: "blowup" or "cap" (set by amp_solve),
-    # "uncertified" (by solve_instance); carried onto the fallback's result.
-    # None for an accepted AMP result and for PGD alone.
+    # Why AMP did not converge, set by amp_solve: "blowup" | "cap"; carried
+    # onto the fallback's result.  None for a converged AMP result and for PGD.
     fallback: str = None
 
 
@@ -84,7 +81,6 @@ def generate_instance(
 def amp_solve(
     K: ConstraintSet,
     inst: DesignInstance,
-    tol: float = 1e-8,
     max_iter: int = 30,
 ) -> SolverResult:
     """Approximate message passing for the constrained least squares program.
@@ -96,44 +92,50 @@ def amp_solve(
         r^{t+1}  = Y - X mu^{t+1} + (k_t / m) r^t
 
     with k_t the projection divergence at the pre-projection point, starting
-    from mu^0 = 0, r^0 = Y.  Stops unconverged when the iterate norm exceeds
-    1e6 * sqrt(n/m) * ||Y||, a scale read from the data alone, of the order
-    of ||mu0|| + sqrt(n) sigma (``fallback = "blowup"``), or
-    after ``max_iter`` iterations (``"cap"``; ``"blowup"`` too if the last
+    from mu^0 = 0, r^0 = Y.  It finishes as ``pgd_solve`` does: an iterate on
+    the previous one's untried face (``face``) becomes the face minimizer z
+    (``_face_minimizer``) and r^t the plain Y - X z, so the next iteration
+    projects what ``_kkt_certified`` projects; z is returned converged, that
+    iteration counted, if the KKT test passes there (``_kkt_gap_small``), and
+    AMP goes on from the projection if not.  Stops unconverged when the
+    iterate norm exceeds 1e6 * sqrt(n/m) * ||Y||, a scale read from the data
+    alone, of the order of ||mu0|| + sqrt(n) sigma (``fallback = "blowup"``),
+    or after ``max_iter`` iterations (``"cap"``; ``"blowup"`` too if the last
     iterate fits Y worse than mu^0 does, so is still diverging).  Falling
     back to PGD is left to ``solve_instance``.
 
-    The cap of 30 is where AMP stops paying: its state evolution settles and
-    its face stops changing within a few to a few dozen iterations, after
-    which it crawls linearly to the minimizer, while PGD warm-started there
-    polishes on that face and certifies it in a few iterations.  Measured
-    over the benchmark grids, 30 beats 25 (PGD's setup outweighs AMP's last
+    The cap of 30 was tuned when AMP stopped on a stalled step, and is not
+    re-tuned here: AMP's face settles within a few to a few dozen
+    iterations, while PGD warm-started there certifies it in a few.  Over
+    the benchmark grids then, 30 beat 25 (PGD's setup outweighed AMP's last
     steps at orthant m=200) and 40 or more (slower on the l1 ball).
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
     blowup = 1e6 * math.sqrt(n / m) * float(np.linalg.norm(Y))
     mu = np.zeros(n)
-    mu_norm = 0.0
     r = Y.copy()
+    key, tried, polished = None, set(), False
     converged = False
     iterations, fallback = max_iter, "cap"
-    # ||v|| as sqrt(v.dot(v)), np.linalg.norm's own formula without its dispatch
     for t in range(max_iter):
         pr = project(K, (n / m) * (X.T @ r) + mu)
+        if polished and _kkt_gap_small(mu - pr.point, X, Y):
+            converged, iterations, fallback = True, t + 1, None
+            break
         mu_new = pr.point
         r = Y - X @ mu_new + (pr.divergence / m) * r
-        new_norm = math.sqrt(mu_new.dot(mu_new))
-        if new_norm > blowup:
+        # ||v|| as sqrt(v.dot(v)), np.linalg.norm's own formula without its dispatch
+        if math.sqrt(mu_new.dot(mu_new)) > blowup:
             mu, iterations, fallback = mu_new, t + 1, "blowup"
             break
-        move = mu_new - mu
-        step = math.sqrt(move.dot(move)) / max(mu_norm, 1.0)
-        mu, mu_norm = mu_new, new_norm
-        if step < tol:
-            converged = True
-            iterations, fallback = t + 1, None
-            break
+        new_key, polish = face(K, mu_new), None
+        if new_key == key and new_key not in tried:
+            tried.add(new_key)
+            polish = _face_minimizer(K, X, Y, mu_new, new_key)
+        mu, key, polished = mu_new, new_key, polish is not None
+        if polished:
+            mu, r = polish[0], Y - polish[1]
     resid = Y - X @ mu
     objective = float(resid @ resid) / m
     if fallback == "cap" and objective > float(Y @ Y) / m:
@@ -278,17 +280,14 @@ def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = 
     """Dispatch one instance to a solver.
 
     ``auto`` runs AMP and falls back to PGD once whenever AMP did not
-    converge: it blew up, hit its iteration cap, or stopped at a point that
-    fails ``_kkt_certified`` (``fallback`` says which).  PGD starts from
-    AMP's last iterate after the cap or a stall, and from zero after a
-    blow-up.  ``amp`` returns AMP's result marked unconverged instead.
-    ``pgd`` runs PGD alone, from zero.
+    converge: it blew up or hit its iteration cap (``fallback`` says which).
+    PGD starts from AMP's last iterate after the cap, and from zero after a
+    blow-up.  ``amp`` returns AMP's result, converged or not.  ``pgd`` runs
+    PGD alone, from zero.
     """
     if solver_choice == "pgd":
         return pgd_solve(K, inst)
     result = amp_solve(K, inst)
-    if result.converged and not _kkt_certified(K, inst, result.mu_hat):
-        result = replace(result, converged=False, fallback="uncertified")
     if solver_choice == "amp" or result.converged:
         return result
     x0 = None if result.fallback == "blowup" else result.mu_hat
@@ -297,11 +296,16 @@ def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = 
 
 def _kkt_certified(K: ConstraintSet, inst: DesignInstance, mu: np.ndarray) -> bool:
     """Whether mu passes ``pgd_solve``'s KKT test at step n (AMP's update with the
-    plain residual): ||mu - Pi_K(mu + (n/m) X^T (Y - X mu))|| / n is at most
-    ``_KKT_TOL * ||X^T Y|| / m``.  It is zero exactly at the minimizers."""
+    plain residual): ``_kkt_gap_small`` of mu - Pi_K(mu + (n/m) X^T (Y - X mu)).
+    It is zero exactly at the minimizers."""
     X, Y = inst.X, inst.Y
     m, n = X.shape
-    gap = mu - project(K, mu + (n / m) * (X.T @ (Y - X @ mu))).point
+    return _kkt_gap_small(mu - project(K, mu + (n / m) * (X.T @ (Y - X @ mu))).point, X, Y)
+
+
+def _kkt_gap_small(gap: np.ndarray, X: np.ndarray, Y: np.ndarray) -> bool:
+    """||gap|| / n is at most ``_KKT_TOL * ||X^T Y|| / m``."""
+    m, n = X.shape
     return math.sqrt(gap.dot(gap)) / n <= _KKT_TOL * float(np.linalg.norm(X.T @ Y)) / m
 
 

@@ -384,3 +384,25 @@ class TestReports:
         path = str(tmp_path / "e.csv")
         emit_report([rec], "csv", path)
         assert parse_records(path, "csv") == [rec]
+
+    def test_two_atom_prior_round_trips(self, tmp_path):
+        # the prior's atoms are comma-separated: the cell is quoted, not rewritten
+        config = replace(TINY, signals=("atoms=0:0.5,5:0.5",), replicates=10)
+        records = run_quiet(config)
+        assert records[0].signal == "atoms=0:0.5,5:0.5" and records[0].ratio is not None
+        path = str(tmp_path / "p.csv")
+        text = emit_report(records, "csv", path)
+        assert ',"atoms=0:0.5,5:0.5",' in text.splitlines()[1]
+        assert parse_records(path, "csv") == records
+
+    def test_error_text_with_a_comma_round_trips(self, tmp_path):
+        rec = ExperimentRecord(
+            experiment_id="x-002", n=5, m=2, sigma=1.0, constraint="orthant",
+            signal="atoms=0:0.5,5:0.5", r_theory_sq=None, r_theory_se=None,
+            risk_emp_mean=None, risk_emp_se=None, ratio=None,
+            r2_statistic=None, regime='error: bad prior "0:0.5,5:x", expected v:w pairs',
+            runtime_seconds=0.0,
+        )
+        path = str(tmp_path / "c.csv")
+        emit_report([rec], "csv", path)
+        assert parse_records(path, "csv") == [rec]

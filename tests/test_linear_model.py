@@ -28,7 +28,6 @@ from riskfix.fixed_point import nnls_solve
 from riskfix import linear_model
 from riskfix.kernels import DiscretePrior
 from riskfix.linear_model import (
-    SolverResult,
     amp_solve,
     empirical_risk,
     generate_instance,
@@ -90,24 +89,38 @@ def figure2_left_m60(count):
     ]
 
 
+def amp_matches_oracle(K, inst, oracle, trial=None):
+    """A converged AMP result is the oracle's minimizer; an unconverged one claims nothing."""
+    res = amp_solve(K, inst)
+    if res.converged:
+        assert np.linalg.norm(res.mu_hat - oracle) <= 1e-10, trial
+    return res.converged
+
+
 class TestPgd:
     def test_against_support_enumeration_oracle(self):
         rng = np.random.default_rng(7)
         K = ConstraintSet.orthant(3)
+        amp_converged = 0
         for trial in range(30):
             mu0 = np.abs(rng.standard_normal(3))
             inst = generate_instance(5, 3, mu0, 1.0, seed=int(rng.integers(1 << 31)))
             res = pgd_solve(K, inst, tol=1e-15)
             oracle = nnls_oracle(inst.X, inst.Y)
             np.testing.assert_allclose(res.mu_hat, oracle, atol=1e-6)
+            amp_converged += amp_matches_oracle(K, inst, oracle, trial)
+        assert amp_converged >= 25  # 28 of 30
 
     def test_against_exact_nnls(self):
         # the polish step lands on the active-set minimizer itself
         K = ConstraintSet.orthant(50)
+        amp_converged = 0
         for inst in figure2_left_m60(10):
             exact, _ = nnls(inst.X, inst.Y)
             res = pgd_solve(K, inst)
             assert np.linalg.norm(res.mu_hat - exact) <= 1e-10
+            amp_converged += amp_matches_oracle(K, inst, exact)
+        assert amp_converged >= 7  # 8 of 10
 
     @pytest.mark.parametrize("n, m, radius", [(6, 4, 1.0), (5, 3, 2.0), (6, 6, 1.5),
                                               (6, 10, 1.0), (6, 10, 50.0)])
@@ -115,6 +128,7 @@ class TestPgd:
         # on the sphere (m < n too), and inside the ball at radius 50
         rng = np.random.default_rng(n * m)
         K = ConstraintSet.l1_ball(n, radius)
+        amp_converged = 0
         for trial in range(8):
             mu0 = rng.standard_normal(n)
             mu0 *= 0.8 * radius / np.abs(mu0).sum()
@@ -122,36 +136,47 @@ class TestPgd:
             res = pgd_solve(K, inst)
             oracle = l1_lsq_oracle(inst.X, inst.Y, radius)
             assert res.converged and np.linalg.norm(res.mu_hat - oracle) <= 1e-10, trial
+            amp_converged += amp_matches_oracle(K, inst, oracle, trial)
+        assert amp_converged >= 5  # 6 to 8 of 8
 
     @pytest.mark.parametrize("n, m", [(10, 30), (8, 8), (12, 40)])
     def test_against_monotone_increment_oracle(self, n, m):
         rng = np.random.default_rng(n * m)
         K = ConstraintSet.monotone_cone(n)
+        amp_converged = 0
         for trial in range(8):
             mu0 = np.sort(rng.standard_normal(n))
             inst = generate_instance(m, n, mu0, 1.0, seed=int(rng.integers(1 << 31)))
             res = pgd_solve(K, inst)
             oracle = monotone_lsq_oracle(inst.X, inst.Y)
             assert res.converged and np.linalg.norm(res.mu_hat - oracle) <= 1e-10, trial
+            amp_converged += amp_matches_oracle(K, inst, oracle, trial)
+        assert amp_converged >= 6  # 7 or 8 of 8
 
     def test_converged_means_kkt_certified(self):
         # converged must certify mu_hat itself, not the extrapolated point;
-        # under "auto", an AMP result too
+        # AMP's own converged results too, alone and under "auto"
         linear = np.arange(1, 101) / 100  # on the boundary of the l1 ball
         cases = [
             (ConstraintSet.orthant(50), np.full(50, 5.0), 60),
             (ConstraintSet.l1_ball(100, 50.5), linear, 60),
             (ConstraintSet.monotone_cone(100), linear, 100),
         ]
+        amp_converged = 0
         for base, (K, mu0, m) in enumerate(cases, start=1):
             for i in range(15):
                 inst = generate_instance(m, mu0.size, mu0, 1.0, seed=child_seed(base, i))
-                for res in (pgd_solve(K, inst), solve_instance(K, inst, "auto")):
-                    assert res.converged, (K.kind, i, res.solver)
-                    kkt = relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat)
-                    assert kkt <= 1e-7, (K.kind, i, res.solver, kkt)
+                amp = amp_solve(K, inst)
+                for res in (amp, pgd_solve(K, inst), solve_instance(K, inst, "auto")):
+                    assert res.converged or res is amp, (K.kind, i, res.solver)
+                    if res.converged:
+                        kkt = relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat)
+                        assert kkt <= 1e-7, (K.kind, i, res.solver, kkt)
+                        assert linear_model._kkt_certified(K, inst, res.mu_hat), (K.kind, i)
+                amp_converged += amp.converged
                 # only a fallback carries a reason
                 assert (res.solver == "pgd") == (res.fallback is not None), (K.kind, i)
+        assert amp_converged >= 30  # 36 of 45
 
     @pytest.mark.parametrize("i", [56, 94, 147, 180, 194])
     def test_objective_floor_stop_is_certified(self, i):
@@ -193,16 +218,19 @@ class TestPgd:
             assert np.linalg.norm(res.mu_hat - exact) <= 1e-12
 
     def test_warm_fallback_iteration_budget(self, monkeypatch):
-        # deterministic AMP + PGD iterations on the auto path (345 and 523;
-        # 1,029 and 1,166 when AMP ran to 100): AMP finds the minimizer's face
-        # long before it converges, and from its capped iterate one polish
-        # step and a few certifying iterations finish PGD
+        # deterministic AMP + PGD iterations on the auto path, over replicates
+        # whose AMP reaches its cap (361 and 464): started from AMP's capped
+        # iterate, PGD needs fewer iterations than from zero (151 against 309,
+        # 254 against 549)
         cases = [
-            (ConstraintSet.orthant(50), figure2_left_m60(10), 450),
+            (ConstraintSet.orthant(50), [
+                generate_instance(60, 50, np.full(50, 5.0), 1.0, seed=child_seed(1, i))
+                for i in (15, 25, 28, 36, 43, 44, 47)
+            ], 450),
             (ConstraintSet.l1_ball(100, 50.5), [
                 generate_instance(60, 100, np.arange(1, 101) / 100, 1.0, seed=child_seed(2, i))
-                for i in range(10)
-            ], 650),
+                for i in (3, 7, 12, 13, 14, 16, 17)
+            ], 600),
         ]
         amp_iterations = []
 
@@ -215,10 +243,10 @@ class TestPgd:
         for K, instances, budget in cases:
             amp_iterations.clear()
             results = [solve_instance(K, inst, "auto") for inst in instances]
-            fallbacks = [res for res in results if res.solver == "pgd"]
-            assert sum(res.fallback == "cap" for res in fallbacks) >= 5, K.kind
-            pgd_iterations = sum(res.iterations for res in fallbacks)
+            assert all(res.solver == "pgd" and res.fallback == "cap" for res in results), K.kind
+            pgd_iterations = sum(res.iterations for res in results)
             assert sum(amp_iterations) + pgd_iterations <= budget, K.kind
+            assert pgd_iterations < sum(pgd_solve(K, inst).iterations for inst in instances), K.kind
 
     def test_warm_and_cold_fallback_agree(self):
         # a unique minimizer does not depend on the start point (m = 60 is
@@ -493,9 +521,9 @@ class TestAmp:
 
     def test_capped_amp_warm_starts_pgd(self, monkeypatch):
         # orthant m = 60: AMP runs to its iteration cap near a minimizer, and
-        # PGD starts from its last iterate
+        # PGD starts from its last iterate (1 iteration against 56 from zero)
         K = ConstraintSet.orthant(50)
-        inst = figure2_left_m60(1)[0]
+        inst = generate_instance(60, 50, np.full(50, 5.0), 1.0, seed=child_seed(1, 25))
         amp = amp_solve(K, inst)
         assert not amp.converged and amp.iterations == AMP_CAP and amp.fallback == "cap"
         calls = []
@@ -520,9 +548,10 @@ class TestAmp:
         ("zero", (56, 73, 93)), ("linear", (73, 93, 114, 124, 145)), ("quadratic", (73,)),
     ], ids=["zero", "linear", "quadratic"])
     def test_monotone_cone_hands_off_cheaply(self, signal, replicates):
-        # the isotonic-grid replicates at n = m = 100, seed 0, whose AMP
-        # reaches its cap (it would converge within 31-93 iterations): PGD
-        # starts on the minimizer's face and certifies it at once
+        # the isotonic-grid replicates at n = m = 100, seed 0, that reached
+        # AMP's cap before AMP polished its faces: AMP now certifies the
+        # minimizer of its repeated face itself, in 4-14 iterations, so
+        # nothing is handed to PGD
         K = ConstraintSet.monotone_cone(100)
         mu0 = resolve_signal(signal, 100)
         # grid point 0's design seed, which every signal's replicates share
@@ -530,41 +559,39 @@ class TestAmp:
         for i in replicates:
             inst = generate_instance(100, 100, mu0, 1.0, seed=child_seed(design_seed, i))
             res = solve_instance(K, inst, "auto")
-            assert res.solver == "pgd" and res.fallback == "cap", i
-            assert res.converged and res.iterations <= 3, i
+            assert res.solver == "amp" and res.converged and res.iterations <= 14, i
             assert relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat) <= 1e-7, i
-            uncapped = amp_solve(K, inst, max_iter=1_000)
-            assert uncapped.converged, i
-            assert abs(res.risk - uncapped.risk) <= 1e-6 * uncapped.risk, i
+            ref = pgd_solve(K, inst, tol=1e-15)
+            assert abs(res.risk - ref.risk) <= 1e-12 * ref.risk, i
 
-    def test_uncertified_amp_result_falls_back(self, monkeypatch):
-        # AMP claims convergence at mu = 0, which is no minimizer here: only
-        # the KKT certificate in solve_instance can catch it
-        n, m = 20, 40
-        K = ConstraintSet.orthant(n)
-        inst = generate_instance(m, n, np.full(n, 5.0), 1.0, seed=child_seed(24, 0))
-        stalled = SolverResult(mu_hat=np.zeros(n), objective=float(inst.Y @ inst.Y) / m,
-                               iterations=1, solver="amp", converged=True, risk=25.0)
-        assert relative_gradient_mapping(K, inst.X, inst.Y, stalled.mu_hat) > 1e-7
-        monkeypatch.setattr(linear_model, "amp_solve", lambda K, inst: stalled)
+    def test_uncertified_polish_does_not_converge(self, monkeypatch):
+        # a "polish" that returns the iterate itself, no minimizer: AMP's next
+        # step fails the KKT test there, so AMP goes on and converges nowhere
+        # without a certificate, and every iteration still projects once
         calls = []
 
-        def counting_pgd(*args, **kwargs):
-            calls.append(kwargs)
-            return pgd_solve(*args, **kwargs)
+        def counting_project(K, x):
+            calls.append(1)
+            return project(K, x)
 
-        monkeypatch.setattr(linear_model, "pgd_solve", counting_pgd)
-        res = solve_instance(K, inst, "auto")
-        assert res.solver == "pgd" and res.converged and len(calls) == 1
-        assert res.fallback == "uncertified"
-        np.testing.assert_array_equal(calls[0]["x0"], stalled.mu_hat)
-        assert relative_gradient_mapping(K, inst.X, inst.Y, res.mu_hat) <= 1e-7
+        def fake_polish(K, X, Y, mu, key):
+            return mu, X @ mu
 
-        forced = solve_instance(K, inst, "amp")
-        assert forced.solver == "amp" and not forced.converged
-        assert forced.fallback == "uncertified"
-        np.testing.assert_array_equal(forced.mu_hat, stalled.mu_hat)
-        assert len(calls) == 1
+        monkeypatch.setattr(linear_model, "project", counting_project)
+        monkeypatch.setattr(linear_model, "_face_minimizer", fake_polish)
+        cases = [
+            (ConstraintSet.orthant(50), np.full(50, 5.0), 60),
+            (ConstraintSet.monotone_cone(100), np.linspace(0.0, 2.0, 100), 100),
+        ]
+        for K, mu0, m in cases:
+            inst = generate_instance(m, K.n, mu0, 1.0, seed=child_seed(41, 0))
+            calls.clear()
+            amp = amp_solve(K, inst)
+            assert not amp.converged and amp.fallback is not None, K.kind
+            assert len(calls) == amp.iterations, K.kind
+            res = solve_instance(K, inst, "auto")
+            assert res.solver == "pgd" and res.converged, K.kind
+            assert linear_model._kkt_certified(K, inst, res.mu_hat), K.kind
 
     def test_forced_pgd_skips_amp(self, monkeypatch):
         def no_amp(*args, **kwargs):
