@@ -166,10 +166,8 @@ def cmd_kernels(args) -> None:
 
 def cmd_risk_curve(args) -> None:
     K = resolve_constraint(args.constraint, args.n)
-    if args.mu0_file:
-        mu0 = resolve_signal(f"file:{args.mu0_file}", args.n)
-    else:
-        mu0 = resolve_signal(args.mu0_preset, args.n)
+    spec = f"file:{args.mu0_file}" if args.mu0_file else args.mu0_preset
+    mu0 = _signal_vector(spec, args.n, "risk-curve")
     if not (args.sigma_min > 0 and args.sigma_max > 0 and args.grid >= 1):
         raise DomainError("risk-curve needs --sigma-min > 0, --sigma-max > 0 and --grid >= 1")
     grid = np.geomspace(args.sigma_min, args.sigma_max, args.grid)
@@ -217,9 +215,7 @@ def cmd_fixed_point(args) -> None:
 
 def cmd_simulate(args) -> None:
     K = resolve_constraint(args.constraint, args.n)
-    mu0 = resolve_signal(args.signal, args.n)
-    if isinstance(mu0, DiscretePrior):
-        raise DomainError("simulate needs an explicit signal vector, not a prior")
+    mu0 = _signal_vector(args.signal, args.n, "simulate")
     results = run_replicates(K, mu0, args.m, args.n, args.sigma,
                              args.replicates, _seed_of(args), args.solver)
     lines = ["replicate_id,risk,objective,iterations,solver,converged,fallback"]
@@ -227,6 +223,14 @@ def cmd_simulate(args) -> None:
         lines.append(f"{i},{res.risk!r},{res.objective!r},{res.iterations},{res.solver},"
                      f"{res.converged},{res.fallback or ''}")
     _write(args, "\n".join(lines) + "\n")
+
+
+def _signal_vector(spec: str, n: int, command: str) -> np.ndarray:
+    """The signal vector of ``spec``; a prior is a domain error here."""
+    mu0 = resolve_signal(spec, n)
+    if isinstance(mu0, DiscretePrior):
+        raise DomainError(f"{command} needs an explicit signal vector, not a prior")
+    return mu0
 
 
 def cmd_experiment(args) -> None:

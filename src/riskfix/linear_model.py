@@ -4,18 +4,22 @@
 least squares program is solved by an AMP iteration whose Onsager term uses
 the projection divergence (the isotonic piece count generalized to every
 supported constraint), with accelerated projected gradient (FISTA with
-gradient restart) as the reference solver and fallback.  Both polish once
-per face on the face's affine hull and converge only on a KKT certificate:
-PGD's gradient mapping at step m / sigma_max(X)^2 with tol 1e-10, AMP's at
-step n with tolerance ``_KKT_TOL`` = 1e-7 (``_kkt_gap_small``).  K is
+gradient restart) as the reference solver and fallback.  Both finish with
+the same three steps, each written once: they polish a repeated, untried
+face on its affine hull when its minimizer is unique (``_face_minimizer``),
+converge only on a KKT certificate (``_kkt_gap_small``: PGD's gradient
+mapping at step m / sigma_max(X)^2 with tol 1e-10, AMP's at step n with
+tolerance ``_KKT_TOL`` = 1e-7, both relative to ``||X^T Y|| / m``), and
+report objective and risk at the returned point (``_result``).  K is
 reached only through ``constraints`` (``project``; ``face`` and
 ``face_span`` for the polish), never by its kind.  Empirical risk aggregates
-independent replicates with per-replicate child seeds; several signals can
-share each replicate's design and noise.
+independent replicates with per-replicate child seeds, and only converged
+ones; several signals can share each replicate's design and noise.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +42,11 @@ class DesignInstance:
     Y: np.ndarray
     mu0: np.ndarray
     seed: int
+
+    @cached_property
+    def xty_norm(self) -> float:
+        """||X^T Y||, the scale of every KKT tolerance; computed once per instance."""
+        return float(np.linalg.norm(self.X.T @ self.Y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,51 +113,40 @@ def amp_solve(
     iterate fits Y worse than mu^0 does, so is still diverging).  Falling
     back to PGD is left to ``solve_instance``.
 
-    The cap of 30 was tuned when AMP stopped on a stalled step, and is not
-    re-tuned here: AMP's face settles within a few to a few dozen
-    iterations, while PGD warm-started there certifies it in a few.  Over
-    the benchmark grids then, 30 beat 25 (PGD's setup outweighed AMP's last
-    steps at orthant m=200) and 40 or more (slower on the l1 ball).
+    The cap of 30 minimizes projections, AMP's and PGD's together, on the
+    benchmark grids at seed 0: every isotonic-grid run converges within 20
+    iterations; on nnls-grid and l1-grid a cap of 20 hands 50 and 250 runs
+    to PGD (32 and 105 at 30) and costs 5% and 10% more projections, while
+    40 hands 23 and 72 and costs 0.6% and 0.3% more, its longer AMP runs
+    outweighing the PGD iterations they save.
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
     blowup = 1e6 * math.sqrt(n / m) * float(np.linalg.norm(Y))
+    kkt_bound = _KKT_TOL * inst.xty_norm / m
     mu = np.zeros(n)
     r = Y.copy()
-    key, tried, polished = None, set(), False
+    key, tried, polish = None, set(), None
     converged = False
     iterations, fallback = max_iter, "cap"
     for t in range(max_iter):
         pr = project(K, (n / m) * (X.T @ r) + mu)
-        if polished and _kkt_gap_small(mu - pr.point, X, Y):
+        if polish is not None and _kkt_gap_small(mu - pr.point, n, kkt_bound):
             converged, iterations, fallback = True, t + 1, None
             break
-        mu_new = pr.point
-        r = Y - X @ mu_new + (pr.divergence / m) * r
+        mu = pr.point
+        r = Y - X @ mu + (pr.divergence / m) * r
         # ||v|| as sqrt(v.dot(v)), np.linalg.norm's own formula without its dispatch
-        if math.sqrt(mu_new.dot(mu_new)) > blowup:
-            mu, iterations, fallback = mu_new, t + 1, "blowup"
+        if math.sqrt(mu.dot(mu)) > blowup:
+            iterations, fallback = t + 1, "blowup"
             break
-        new_key, polish = face(K, mu_new), None
-        if new_key == key and new_key not in tried:
-            tried.add(new_key)
-            polish = _face_minimizer(K, X, Y, mu_new, new_key)
-        mu, key, polished = mu_new, new_key, polish is not None
-        if polished:
+        key, polish = _face_minimizer(K, X, Y, mu, key, tried)
+        if polish is not None:
             mu, r = polish[0], Y - polish[1]
-    resid = Y - X @ mu
-    objective = float(resid @ resid) / m
-    if fallback == "cap" and objective > float(Y @ Y) / m:
-        fallback = "blowup"
-    return SolverResult(
-        mu_hat=mu,
-        objective=objective,
-        iterations=iterations,
-        solver="amp",
-        converged=converged,
-        risk=float(np.linalg.norm(mu - inst.mu0) ** 2) / n,
-        fallback=fallback,
-    )
+    res = _result(inst, mu, "amp", iterations, converged, fallback)
+    if fallback == "cap" and res.objective > float(Y @ Y) / m:
+        return replace(res, fallback="blowup")
+    return res
 
 
 def pgd_solve(
@@ -182,15 +180,15 @@ def pgd_solve(
     It projects nothing: the next iteration's stop test certifies it.
 
     Stops when the gradient mapping ``||y - x+|| / s`` (the KKT residual) is
-    at most ``tol * ||X^T Y|| / m``, or the objective reaches numerical zero
-    at an ``x+`` that passes ``_kkt_certified``.
+    at most ``tol * ||X^T Y|| / m`` (``_kkt_gap_small``), or the objective
+    reaches numerical zero at an ``x+`` that passes ``_kkt_certified``.
     Returns the best iterate, so the objective is nonincreasing in
     ``max_iter``, with ``converged = False`` if the cap is hit first.
     """
     X, Y = inst.X, inst.Y
     m, n = X.shape
     step = m / (np.linalg.eigvalsh(X @ X.T if m <= n else X.T @ X)[-1] + 1e-12)
-    kkt_tol = tol * float(np.linalg.norm(X.T @ Y)) / m
+    kkt_bound = tol * inst.xty_norm / m
     x = y = best_mu = project(K, np.zeros(n) if x0 is None else x0).point
     Xx = Xy = X @ x
     resid = Y - Xx
@@ -207,17 +205,13 @@ def pgd_solve(
         if f_new <= best_f:
             best_f, best_mu = f_new, x_new
         mapping = y - x_new
-        if math.sqrt(mapping.dot(mapping)) <= kkt_tol * step or (
+        if _kkt_gap_small(mapping, step, kkt_bound) or (
                 f_new < _OBJECTIVE_FLOOR and _kkt_certified(K, inst, x_new)):
             converged = True
             iterations = k + 1
             break
         move = x_new - x
-        new_key = face(K, x_new)
-        polish = None
-        if new_key == key and new_key not in tried:
-            tried.add(new_key)
-            polish = _face_minimizer(K, X, Y, x_new, new_key)
+        key, polish = _face_minimizer(K, X, Y, x_new, key, tried)
         if polish is not None:
             t, (y, Xy) = 1.0, polish
         elif mapping @ move > 0.0:
@@ -228,27 +222,27 @@ def pgd_solve(
             y = x_new + beta * move
             Xy = Xx_new + beta * (Xx_new - Xx)
             t = t_new
-        x, Xx, key = x_new, Xx_new, new_key
-    return SolverResult(
-        mu_hat=best_mu,
-        objective=2.0 * best_f,
-        iterations=iterations,
-        solver="pgd",
-        converged=converged,
-        risk=float(np.linalg.norm(best_mu - inst.mu0) ** 2) / n,
-    )
+        x, Xx = x_new, Xx_new
+    return _result(inst, best_mu, "pgd", iterations, converged)
 
 
-def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarray, key: bytes):
-    """``(z, X z)`` for the minimizer z of ||Y - X z|| over the affine hull
-    {B c : s . c = radius} of x's face (``face_span``), or None unless z is
-    unique (face dimension at most m) and stays on that face:
-    ``face(K, z) == key``, the key of x.
+def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarray, key: bytes,
+                    tried: set):
+    """``(face(K, x), polish)``: polish is ``(z, X z)`` for the minimizer z of
+    ||Y - X z|| over the affine hull {B c : s . c = radius} of x's face
+    (``face_span``), tried only when that face is ``key``, the previous
+    iterate's, and not yet in ``tried`` (it is added).  None when untried, or
+    unless z is unique and stays on the face: ``face(K, z)`` is x's.
 
     With A = X B, gathered or block-summed from X's columns by label, the
     normal equations A^T A c = A^T Y, bordered by s . c = radius on the l1
-    sphere, are solved by LU, and by lstsq only if they are singular; z = B c.
+    sphere, are solved by LU; z = B c.  Singular equations (more face
+    coordinates than m, or dependent columns) have no unique z.
     """
+    new_key = face(K, x)
+    if new_key != key or new_key in tried:
+        return new_key, None
+    tried.add(new_key)
     label, s = face_span(K, x)
     if label is None:  # a subspace: B is its basis
         A = X @ K.basis
@@ -259,7 +253,7 @@ def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarra
             A = np.add.reduceat(A, np.flatnonzero(np.diff(label[on], prepend=-1)), axis=1)
     p = A.shape[1]
     if p - (s is not None) > X.shape[0]:
-        return None
+        return new_key, None
     G, b = A.T @ A, A.T @ Y
     if s is not None:
         G, gram = np.zeros((p + 1, p + 1)), G
@@ -269,11 +263,9 @@ def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarra
     try:
         c = np.linalg.solve(G, b)[:p]
     except np.linalg.LinAlgError:
-        c = np.linalg.lstsq(G, b, rcond=None)[0][:p]
+        return new_key, None
     z = K.basis @ c if label is None else np.append(c, 0.0)[label]
-    if face(K, z) != key:
-        return None
-    return z, A @ c
+    return new_key, (z, A @ c) if face(K, z) == new_key else None
 
 
 def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = "auto") -> SolverResult:
@@ -295,18 +287,27 @@ def solve_instance(K: ConstraintSet, inst: DesignInstance, solver_choice: str = 
 
 
 def _kkt_certified(K: ConstraintSet, inst: DesignInstance, mu: np.ndarray) -> bool:
-    """Whether mu passes ``pgd_solve``'s KKT test at step n (AMP's update with the
-    plain residual): ``_kkt_gap_small`` of mu - Pi_K(mu + (n/m) X^T (Y - X mu)).
-    It is zero exactly at the minimizers."""
+    """Whether mu passes ``amp_solve``'s KKT test (AMP's update at step n with
+    the plain residual): ``_kkt_gap_small`` of mu - Pi_K(mu + (n/m) X^T (Y - X mu))
+    at bound ``_KKT_TOL * ||X^T Y|| / m``.  The gap is zero exactly at the minimizers."""
     X, Y = inst.X, inst.Y
     m, n = X.shape
-    return _kkt_gap_small(mu - project(K, mu + (n / m) * (X.T @ (Y - X @ mu))).point, X, Y)
+    gap = mu - project(K, mu + (n / m) * (X.T @ (Y - X @ mu))).point
+    return _kkt_gap_small(gap, n, _KKT_TOL * inst.xty_norm / m)
 
 
-def _kkt_gap_small(gap: np.ndarray, X: np.ndarray, Y: np.ndarray) -> bool:
-    """||gap|| / n is at most ``_KKT_TOL * ||X^T Y|| / m``."""
-    m, n = X.shape
-    return math.sqrt(gap.dot(gap)) / n <= _KKT_TOL * float(np.linalg.norm(X.T @ Y)) / m
+def _kkt_gap_small(gap: np.ndarray, step: float, bound: float) -> bool:
+    """||gap|| / step, the gradient mapping at that step, is at most ``bound``."""
+    return math.sqrt(gap.dot(gap)) <= bound * step
+
+
+def _result(inst: DesignInstance, mu: np.ndarray, solver: str, iterations: int,
+            converged: bool, fallback: str = None) -> SolverResult:
+    """The ``SolverResult`` at mu, with its objective and risk."""
+    resid = inst.Y - inst.X @ mu
+    return SolverResult(mu_hat=mu, objective=float(resid @ resid) / inst.Y.size,
+                        iterations=iterations, solver=solver, converged=converged,
+                        risk=float(np.linalg.norm(mu - inst.mu0) ** 2) / mu.size, fallback=fallback)
 
 
 def run_replicates(
@@ -372,15 +373,25 @@ def empirical_risk(
 
     Returns ``(mean, se, per_replicate)``.  For a list of signals on shared
     instances (``run_replicates``), returns each signal's per-replicate
-    risks, or the error that stopped it, for the caller to pool.
+    risks, or the error that stopped it, for the caller to pool.  A signal
+    with a replicate whose solver did not converge has no risks: its error
+    is a ``DomainError`` counting such replicates (raised for one signal).
     """
     if isinstance(mu0, list):
-        return [res if isinstance(res, ValueError) else [r.risk for r in res]
+        return [res if isinstance(res, ValueError) else _risks(res)
                 for res in run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)]
     if replicates < 10:
         raise DomainError("empirical_risk needs at least 10 replicates")
-    results = run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)
-    risks = np.array([res.risk for res in results])
-    mean, se = mean_se(risks)
-    return mean, se, risks.tolist()
+    risks = _risks(run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice))
+    if isinstance(risks, ValueError):
+        raise risks
+    mean, se = mean_se(np.array(risks))
+    return mean, se, risks
 
+
+def _risks(results) -> list:
+    """Each replicate's risk, or the ``DomainError`` if any did not converge."""
+    missed = sum(not res.converged for res in results)
+    if missed:
+        return DomainError(f"{missed} of {len(results)} replicates did not converge")
+    return [res.risk for res in results]

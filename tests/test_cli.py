@@ -22,6 +22,10 @@ def run(argv):
     return main(argv)
 
 
+# n = 10 puts m = 30 below the fixed point's 10 * L_n floor
+L_N_WARNING = r"m = 30 is below 10 \* L_n"
+
+
 class TestExitCodes:
     def test_project_success(self, vector_file, capsys):
         assert run(["project", "--constraint", "orthant", "--in", vector_file]) == 0
@@ -242,9 +246,15 @@ class TestSubcommands:
         assert all((solver == "pgd") == (fallback != "") for solver, _, fallback in rows)
         assert [fallback for *_, fallback in rows].count("cap") == 1
 
-    def test_simulate_rejects_prior(self):
+    def test_simulate_rejects_prior(self, capsys):
         assert run(["simulate", "--constraint", "orthant", "--n", "10", "--m", "30",
                     "--signal", "atoms=0:1.0", "--replicates", "10"]) == 1
+        assert capsys.readouterr().err == "error: simulate needs an explicit signal vector, not a prior\n"
+
+    def test_risk_curve_rejects_prior(self, capsys):
+        assert run(["risk-curve", "--constraint", "orthant", "--n", "5",
+                    "--mu0-preset", "atoms=0:0.5,1:0.5"]) == 1
+        assert capsys.readouterr().err == "error: risk-curve needs an explicit signal vector, not a prior\n"
 
     def test_experiment_config_roundtrip(self, tmp_path):
         cfg = {
@@ -261,8 +271,9 @@ class TestSubcommands:
         cfg_path.write_text(json.dumps(cfg))
         out1 = tmp_path / "r1.csv"
         out2 = tmp_path / "r2.csv"
-        assert run(["experiment", str(cfg_path), "--out", str(out1)]) == 0
-        assert run(["experiment", str(cfg_path), "--out", str(out2)]) == 0
+        for out in (out1, out2):
+            with pytest.warns(RuntimeWarning, match=L_N_WARNING):
+                assert run(["experiment", str(cfg_path), "--out", str(out)]) == 0
         strip = lambda text: [l.rsplit(",", 1)[0] for l in text.splitlines()]
         assert strip(out1.read_text()) == strip(out2.read_text())
 
@@ -275,8 +286,10 @@ class TestSubcommands:
         cfg_path.write_text(json.dumps(cfg))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        assert run(["experiment", str(cfg_path), "--out", str(a)]) == 0
-        assert run(["experiment", str(cfg_path), "--seed", "99", "--out", str(b)]) == 0
+        with pytest.warns(RuntimeWarning, match=L_N_WARNING):
+            assert run(["experiment", str(cfg_path), "--out", str(a)]) == 0
+        with pytest.warns(RuntimeWarning, match=L_N_WARNING):
+            assert run(["experiment", str(cfg_path), "--seed", "99", "--out", str(b)]) == 0
         assert a.read_text() != b.read_text()
 
     def test_env_seed_default(self, tmp_path, monkeypatch):

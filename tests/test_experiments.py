@@ -232,6 +232,33 @@ class TestRunExperiment:
         assert [r.regime for r in records[4:]] == ["error: quadratic verify fails"] * 2
         assert [_values(r) for r in records[:4]] == [_values(r) for r in reference[:4]]
 
+    def test_theory_error_fails_only_its_signal(self):
+        config = ExperimentConfig("theory", "monotone_cone", ("linear", "atoms=0:0.5,1:0.5"),
+                                  ((12, 30),), replicates=10, samples=200)
+        alone = run_quiet(replace(config, signals=("linear",)))
+        records = run_quiet(config)
+        assert records[1].regime == "error: prior signals run through the orthant analytic path only"
+        assert records[1].r_theory_sq is None and records[1].risk_emp_mean is None
+        assert asdict(records[0]) | {"runtime_seconds": 0} == asdict(alone[0]) | {"runtime_seconds": 0}
+
+    def test_unconverged_replicate_fails_its_signal(self, monkeypatch):
+        # at seed 0, AMP reaches its cap on replicates 2 and 8 of constant:5
+        # and on none of zero's; PGD cut to one iteration finishes 8, not 2
+        config = ExperimentConfig("unconverged", "orthant", ("constant:5", "zero"), ((50, 60),),
+                                  replicates=10, samples=200)
+        reference = run_quiet(config)
+        pgd_solve = riskfix.linear_model.pgd_solve
+        monkeypatch.setattr(riskfix.linear_model, "pgd_solve", functools.partial(pgd_solve, max_iter=1))
+        records = run_quiet(config)
+        # replicate 2 stops constant:5 in its first block, replicates 0-4
+        assert records[0].regime == "error: 1 of 5 replicates did not converge"
+        assert records[0].r_theory_sq is None and records[0].risk_emp_mean is None
+        assert _values(records[1]) == _values(reference[1])
+        K, design_seed = ConstraintSet.orthant(50), child_seed(child_seed(0, 0), 1)
+        with pytest.raises(DomainError, match="^1 of 10 replicates did not converge$"):
+            empirical_risk(K, np.full(50, 5.0), 60, 50, 1.0, 10, design_seed)
+        assert empirical_risk(K, np.zeros(50), 60, 50, 1.0, 10, design_seed)[0] > 0
+
     def test_programming_error_in_verify_propagates(self, monkeypatch):
         def broken(K, inst, solver_choice):
             raise TypeError("not a domain error")

@@ -297,35 +297,37 @@ class TestPgd:
             gap = np.linalg.norm(project(K, res.mu_hat).point - res.mu_hat)
             assert gap <= 1e-8
 
-    def test_singular_face_polish_falls_back_to_lstsq(self, monkeypatch):
+    def test_singular_face_is_not_polished(self):
         # two identical columns make the face's normal equations exactly
-        # singular: np.linalg.solve raises and the polish takes lstsq's answer
+        # singular: the face minimizer is not unique, so there is no polish,
+        # and PGD still converges to a certified minimizer without one
         K, mu0 = ConstraintSet.orthant(6), np.full(6, 2.0)
         inst = generate_instance(20, 6, mu0, 1.0, seed=5)
         X = inst.X.copy()
         X[:, 1] = X[:, 0]
         inst = replace(inst, X=X, Y=X @ mu0 + inst.xi)
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counting_lstsq(*args, **kwargs):
-            calls.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         x = np.ones(6)  # every coordinate on the face
-        z, Xz = linear_model._face_minimizer(K, X, inst.Y, x, face(K, x))
-        assert len(calls) == 1
-        best = lstsq(X, inst.Y, rcond=None)[0]
-        f_best = float(np.sum((inst.Y - X @ best) ** 2))
-        assert float(np.sum((inst.Y - Xz) ** 2)) == pytest.approx(f_best, rel=1e-12)
-        np.testing.assert_allclose(Xz, X @ z, rtol=1e-12)
+        key, tried = face(K, x), set()
+        assert linear_model._face_minimizer(K, X, inst.Y, x, key, tried) == (key, None)
+        assert tried == {key}
 
-        calls.clear()
         res = pgd_solve(K, inst)
-        assert len(calls) == 1
-        assert res.converged and res.iterations == 3
+        assert res.converged and res.iterations == 31
         assert linear_model._kkt_certified(K, inst, res.mu_hat)
+
+    def test_face_minimizer_tries_a_repeated_face_once(self):
+        K = ConstraintSet.orthant(6)
+        inst = generate_instance(20, 6, np.full(6, 2.0), 1.0, seed=5)
+        x = np.ones(6)  # the minimizer's face: every coordinate positive
+        key, tried = face(K, x), set()
+        # a face other than the previous iterate's is not tried
+        assert linear_model._face_minimizer(K, inst.X, inst.Y, x, b"other", tried) == (key, None)
+        assert not tried
+        got_key, (z, Xz) = linear_model._face_minimizer(K, inst.X, inst.Y, x, key, tried)
+        assert got_key == key and tried == {key} and face(K, z) == key
+        np.testing.assert_allclose(Xz, inst.X @ z, rtol=1e-12)
+        # a tried face is not tried again
+        assert linear_model._face_minimizer(K, inst.X, inst.Y, x, key, tried) == (key, None)
 
     @pytest.mark.parametrize("K, x", [
         (ConstraintSet.orthant(4000), np.r_[np.ones(10), np.zeros(3990)]),
@@ -340,7 +342,7 @@ class TestPgd:
         X, Y = rng.standard_normal((20, K.n)), rng.standard_normal(20)
         tracemalloc.start()
         try:
-            linear_model._face_minimizer(K, X, Y, x, face(K, x))
+            linear_model._face_minimizer(K, X, Y, x, face(K, x), set())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -376,9 +378,9 @@ class TestProjectionCount:
             return project(K, x)
 
         def counting_polish(*args):
-            polish = face_minimizer(*args)
+            key, polish = face_minimizer(*args)
             polishes.append(polish is not None)
-            return polish
+            return key, polish
 
         monkeypatch.setattr(linear_model, "project", counting_project)
         monkeypatch.setattr(linear_model, "_face_minimizer", counting_polish)
@@ -574,8 +576,8 @@ class TestAmp:
             calls.append(1)
             return project(K, x)
 
-        def fake_polish(K, X, Y, mu, key):
-            return mu, X @ mu
+        def fake_polish(K, X, Y, mu, key, tried):
+            return face(K, mu), (mu, X @ mu)
 
         monkeypatch.setattr(linear_model, "project", counting_project)
         monkeypatch.setattr(linear_model, "_face_minimizer", fake_polish)
