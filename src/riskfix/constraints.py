@@ -145,16 +145,17 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     """Euclidean projection of ``x`` onto ``K``.
 
     Orthant: coordinatewise positive part.  Monotone cone: pool-adjacent-
-    violators fit.  l1 ball: identity inside the ball, otherwise
-    soft-thresholding at the unique level mu > 0 with
-    ``sum_i (|x_i| - mu)_+ = radius``.  Subspace: basis @ basis.T @ x.
+    violators fit.  l1 ball: soft-thresholding at ``l1_threshold``'s
+    level, which is 0 (the identity) inside or on the ball and otherwise the
+    unique mu > 0 with ``sum_i (|x_i| - mu)_+ = radius``; the divergence is
+    n at level 0, else support - 1.  Subspace: basis @ basis.T @ x.
 
     Exact ties (inputs on the non-differentiability set: a zero coordinate,
-    equal neighbouring inputs, a coordinate at the l1 threshold, a point on
-    the l1 sphere) are dithered once by ``1e-12 * cos(1..n)`` before
-    counting structure; the returned point is always computed from the raw
-    input.  Shape and finiteness are checked on every call; ``x`` is never
-    written.
+    equal neighbouring inputs; for the l1 ball one test, ||x||_1 = radius
+    or a coordinate at a positive level) are dithered once by
+    ``1e-12 * cos(1..n)`` before counting structure; the returned point is
+    always computed from the raw input.  Shape and finiteness are checked on
+    every call; ``x`` is never written.
     """
     x = _check_vector(K, x)
     if K.kind == "orthant":
@@ -315,57 +316,43 @@ def project_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
 
 
 def l1_threshold(x: np.ndarray, radius: float) -> float:
-    """The unique mu > 0 with sum_i (|x_i| - mu)_+ = radius, for ||x||_1 > radius."""
+    """Soft-threshold level of the l1-ball projection, never negative: the last
+    crossing of the sorted magnitudes' cumulative sum, clipped at 0.  It is the
+    unique mu > 0 with sum_i (|x_i| - mu)_+ = radius outside the ball, and 0
+    inside or on it."""
     a = np.sort(np.abs(x))[::-1]
     candidates = (a.cumsum() - radius) / np.arange(1.0, a.size + 1.0)
     below = (a > candidates).nonzero()[0]
     if below.size == 0:
         raise DomainError("l1 radius is below the floating-point resolution of the input")
-    return float(candidates[below[-1]])
+    return max(float(candidates[below[-1]]), 0.0)
 
 
 def _project_l1(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     a = np.abs(x)
-    total = a.sum()
-    if total == K.radius:
-        # On the sphere: the point x, the structure of the dithered input,
-        # counted once.  A dither lost to rounding leaves xc == x inside.
-        xc = _dithered(x)
-        ac = np.abs(xc)
-        if ac.sum() <= K.radius:
-            return ProjectionResult(x.copy(), float(K.n), int(np.count_nonzero(xc)))
-        support = int(np.count_nonzero(ac > l1_threshold(xc, K.radius)))
-        return ProjectionResult(x.copy(), float(support - 1), support)
-    if total < K.radius:
-        return ProjectionResult(x.copy(), float(K.n), int(np.count_nonzero(x)))
     mu = l1_threshold(x, K.radius)
     gap = a - mu
     kept = np.maximum(gap, 0.0)
     point = np.sign(x) * kept
-    if np.count_nonzero(gap) < gap.size:
+    # One tie: x on the sphere, or a coordinate exactly at a positive level.
+    # Its structure is the dithered input's, counted once.
+    if a.sum() == K.radius or (mu > 0.0 and np.count_nonzero(gap) < gap.size):
         xc = _dithered(x)
-        support = int(np.count_nonzero(np.abs(xc) > l1_threshold(xc, K.radius)))
-    else:
-        support = int(np.count_nonzero(kept))
-    return ProjectionResult(point, float(support - 1), support)
+        mu = l1_threshold(xc, K.radius)
+        kept = np.maximum(np.abs(xc) - mu, 0.0)
+    support = int(np.count_nonzero(kept))
+    return ProjectionResult(point, float(support - 1) if mu > 0.0 else float(K.n), support)
 
 
 def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
-    out = Y.copy()
-    over = np.abs(Y).sum(axis=1) > K.radius
-    if not np.any(over):
-        return out
-    A = np.abs(Y[over])
-    a = -np.sort(-A, axis=1)
-    cs = np.cumsum(a, axis=1)
-    k = np.arange(1, Y.shape[1] + 1)
-    candidates = (cs - K.radius) / k
+    A = np.abs(Y)
+    a = np.sort(A, axis=1)[:, ::-1]
+    candidates = (np.cumsum(a, axis=1) - K.radius) / np.arange(1, Y.shape[1] + 1)
     counts = np.count_nonzero(a > candidates, axis=1)
     if np.count_nonzero(counts) < counts.size:
         raise DomainError("l1 radius is below the floating-point resolution of the input")
-    mu = candidates[np.arange(A.shape[0]), counts - 1]
-    out[over] = np.sign(Y[over]) * np.maximum(A - mu[:, None], 0.0)
-    return out
+    mu = np.maximum(candidates[np.arange(Y.shape[0]), counts - 1], 0.0)
+    return np.sign(Y) * np.maximum(A - mu[:, None], 0.0)
 
 
 def _pava(x: np.ndarray, w: np.ndarray = None, r: np.ndarray = None) -> int:

@@ -230,17 +230,18 @@ class _Cell:
         self.config, self.spec, self.n, self.m = config, spec, n, m
         self.experiment_id = f"{config.name}-{idx:03d}"
         self.cell_seed = child_seed(config.seed, idx)
-        self.signal = self.sol = self.error = None
+        self.problem = self.sol = self.error = None
         self.risks = []
         self.runtime = 0.0
 
     def signal_rows(self, block):
         """The signal, or a prior's i.i.d. draw for each replicate of the block."""
-        if not isinstance(self.signal, DiscretePrior):
-            return self.signal
+        signal = self.problem.signal
+        if not isinstance(signal, DiscretePrior):
+            return signal
         seed = child_seed(self.cell_seed, 2)
-        return np.array([child_rng(seed, i).choice(self.signal.values, size=self.n,
-                                                   p=self.signal.weights) for i in block])
+        return np.array([child_rng(seed, i).choice(signal.values, size=self.n,
+                                                   p=signal.weights) for i in block])
 
     def record(self) -> ExperimentRecord:
         config, sol = self.config, self.sol
@@ -283,21 +284,25 @@ def _run_grid_point(config: ExperimentConfig, g: int, n: int, m: int) -> list:
     cells = [_Cell(config, s * G + g, spec, n, m) for s, spec in enumerate(config.signals)]
     design_seed = child_seed(child_seed(config.seed, g), 1)
     blocks = np.array_split(np.arange(config.replicates), len(cells))
-    K = None
-    for cell in cells:
+    try:
+        K = resolve_constraint(config.constraint, n)
+    except _FAIL_SOFT as exc:
+        for cell in cells:
+            cell.error = exc
+        return [cell.record() for cell in cells]
+    for cell in cells:  # every problem is built, and so checked, before any block runs
         try:
-            K = resolve_constraint(config.constraint, n)
-            cell.signal = resolve_signal(cell.spec, n)
+            cell.problem = FixedPointProblem(
+                constraint=K, signal=resolve_signal(cell.spec, n), m=m, n=n, sigma2=config.sigma**2,
+                mc=MonteCarloConfig(samples=config.samples, seed=child_seed(cell.cell_seed, 0)),
+            )
         except _FAIL_SOFT as exc:
             cell.error = exc
     for cell, block in zip(cells, blocks):
         start = time.perf_counter()
         if cell.error is None:
             try:
-                cell.sol = solve(FixedPointProblem(
-                    constraint=K, signal=cell.signal, m=m, n=n, sigma2=config.sigma**2,
-                    mc=MonteCarloConfig(samples=config.samples, seed=child_seed(cell.cell_seed, 0)),
-                ))
+                cell.sol = solve(cell.problem)
             except _FAIL_SOFT as exc:
                 cell.error = exc
         live = [c for c in cells if c.error is None]

@@ -56,7 +56,8 @@ class FixedPointProblem:
     """One risk-prediction instance.
 
     ``signal`` is either an explicit vector in K or a ``DiscretePrior`` of
-    i.i.d. coordinates (orthant only).  ``mc`` is the Monte Carlo budget:
+    i.i.d. coordinates (orthant only); both are checked here, so a built
+    problem is valid.  ``mc`` is the Monte Carlo budget:
     the orthant and the subspace run their closed forms and leave it
     unused; every other set draws one Gaussian matrix from it per solve,
     and its E err, delta_K and delta_T estimates all read those rows.
@@ -89,6 +90,8 @@ class FixedPointProblem:
                 raise DomainError(f"signal must be a vector of length {self.n}")
             if not np.all(np.isfinite(mu0)):
                 raise DomainError("signal must be finite")
+            if not self.constraint.contains(mu0):
+                raise DomainError("signal must belong to the constraint set")
 
 
 @dataclass
@@ -366,8 +369,6 @@ def _path(problem: FixedPointProblem) -> _Path:
             delta_T=(n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
         )
     mu0 = np.asarray(signal, dtype=float)
-    if not K.contains(mu0):
-        raise DomainError("signal must belong to the constraint set")
     if K.kind == "orthant":
         def orthant_err(w):
             e = orthant_err_closed_form(mu0, w)

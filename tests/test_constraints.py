@@ -505,6 +505,22 @@ class TestProjectionInvariants:
             rows = project_rows(K, Y)
             for i in range(Y.shape[0]):
                 np.testing.assert_allclose(rows[i], project(K, Y[i]).point, atol=1e-12)
+        # l1 rows strictly inside, exactly on (dyadic magnitudes summing to the
+        # radius), scaled onto (within rounding of) and outside the sphere
+        n, radius = 50, 5.0
+        K = ConstraintSet.l1_ball(n, radius)
+        Z = rng.standard_normal((400, n))
+        scaled = Z / np.abs(Z).sum(axis=1, keepdims=True) * radius
+        dyadic = np.r_[2.0, 1.0, 1.0, 0.5, 0.25, 0.25, np.zeros(n - 6)]
+        on = np.array([rng.permutation(dyadic) for _ in range(100)])
+        on *= rng.choice([-1.0, 1.0], size=on.shape)
+        Y = np.vstack([scaled[:100] * rng.uniform(0.1, 0.9, (100, 1)), on, scaled[200:300],
+                       scaled[300:] * rng.uniform(1.1, 4.0, (100, 1))])
+        assert np.all(np.abs(on).sum(axis=1) == radius)
+        rows = project_rows(K, Y)
+        for i in range(Y.shape[0]):
+            assert rows[i].tobytes() == project(K, Y[i]).point.tobytes(), i
+        assert np.all(np.abs(rows) <= np.abs(Y))
 
 
 def face_matrix(K: ConstraintSet, label: np.ndarray) -> np.ndarray:

@@ -241,6 +241,29 @@ class TestRunExperiment:
         assert records[1].r_theory_sq is None and records[1].risk_emp_mean is None
         assert asdict(records[0]) | {"runtime_seconds": 0} == asdict(alone[0]) | {"runtime_seconds": 0}
 
+    @pytest.mark.parametrize("constraint, signals, message", [
+        ("orthant", ("zero", "constant:-1"), "signal must belong to the constraint set"),
+        ("monotone_cone", ("linear", "atoms=0:0.5,1:0.5"),
+         "prior signals run through the orthant analytic path only"),
+    ], ids=["non-member", "prior-off-orthant"])
+    def test_invalid_problem_solves_no_replicate(self, monkeypatch, constraint, signals, message):
+        # every problem is built before the first block, so the invalid
+        # signal solves no replicate: only the valid signal's 10 are solved
+        solve_instance = riskfix.linear_model.solve_instance
+        calls = []
+
+        def counting(K, inst, solver_choice):
+            calls.append(inst)
+            return solve_instance(K, inst, solver_choice)
+
+        monkeypatch.setattr(riskfix.linear_model, "solve_instance", counting)
+        config = ExperimentConfig("invalid", constraint, signals, ((12, 30),),
+                                  replicates=10, samples=200)
+        records = run_quiet(config)
+        assert records[1].regime == f"error: {message}"
+        assert records[0].risk_emp_mean is not None
+        assert len(calls) == 10
+
     def test_unconverged_replicate_fails_its_signal(self, monkeypatch):
         # at seed 0, AMP reaches its cap on replicates 2 and 8 of constant:5
         # and on none of zero's; PGD cut to one iteration finishes 8, not 2

@@ -410,6 +410,24 @@ class TestRoot:
         first = 0 if s0 <= root else trace.count(s0)
         assert np.all(np.diff(trace[first:]) >= 0.0)
 
+    def test_repeated_f_steps_by_false_position(self, monkeypatch):
+        # A tol below the floating-point resolution keeps the evaluations
+        # within an ulp of the root 2, where an s comes back: interpolation
+        # through a repeated f is nan, and the step is false position.
+        assert math.isnan(fixed_point._interpolate([(0.5, 0.25), (0.75, 0.1), (0.25, 0.25)]))
+        steps = []
+
+        def recording(points, real=fixed_point._interpolate):
+            steps.append(real(points))
+            return steps[-1]
+
+        monkeypatch.setattr(fixed_point, "_interpolate", recording)
+        s, (lo, hi), trace, converged = fixed_point._root(
+            lambda s: 0.5 * (s + 2.0), 0.0, 2.0, 0.5, 1e-300, 40)
+        assert any(math.isnan(u) for u in steps)
+        assert not converged and s == lo <= 2.0 <= hi
+        assert math.sqrt(hi) - math.sqrt(lo) <= 1e-15
+
 
 class TestNnls:
     def test_zero_point_mass(self):

@@ -654,6 +654,14 @@ class TestEmpiricalRisk:
         assert abs(np.median(per) - target) / target <= 0.15
         assert abs(mean - target) / target <= 0.30
 
+    def test_single_signal_error_is_raised(self):
+        # one signal: the ValueError that stops it is raised; in a list it is returned
+        K, short = ConstraintSet.orthant(5), np.zeros(4)
+        with pytest.raises(DomainError, match="^mu0 must be a vector of length 5$"):
+            run_replicates(K, short, 10, 5, 1.0, 3)
+        [error] = run_replicates(K, [short], 10, 5, 1.0, 3)
+        assert isinstance(error, DomainError) and str(error) == "mu0 must be a vector of length 5"
+
     def test_replicate_floor(self):
         with pytest.raises(DomainError):
             empirical_risk(ConstraintSet.orthant(5), np.zeros(5), 10, 5, 1.0, replicates=5)
