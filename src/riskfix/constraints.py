@@ -4,8 +4,8 @@ Four set kinds are implemented: the non-negative orthant, the monotone
 (isotonic) cone, the l1 ball, and a linear subspace given by an orthonormal
 basis.  Each set knows its Euclidean projection, the a.e. divergence
 (trace of the projection Jacobian, the degrees-of-freedom count), the polar
-decomposition for cone kinds, the face holding a point, and Monte Carlo
-estimators of its statistical dimension and of the tangent-cone dimension.
+decomposition for cone kinds, the face holding a point, and its statistical
+and tangent-cone dimensions: exact, but Monte Carlo on the l1 sphere.
 
 All operations are pure; Monte Carlo estimators average over rows from
 ``seeds.gaussian_rows`` (one seeded stream per matrix, read row by row) and
@@ -199,44 +199,44 @@ def polar_project(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
     return x - project(K, x).point
 
 
-def statistical_dimension(K: ConstraintSet, H: np.ndarray):
-    """Statistical dimension delta_K, the high-noise limit of E err(s)/s^2, with SE.
+def statistical_dimension(K: ConstraintSet) -> float:
+    """Statistical dimension delta_K, the high-noise limit of E err(s)/s^2, exact.
 
     The l1 ball gives 0, since a bounded set's recession cone is {0}.  A cone
     is its own tangent cone at the apex, T_K(0) = K, so delta_K is
-    ``tangent_dimension`` at mu0 = 0, which reads ``H`` only for the
-    monotone cone (pass None otherwise).
+    ``tangent_dimension`` at mu0 = 0: n/2, d, or H_n for the monotone cone.
     """
     if not K.is_cone:
-        return 0.0, 0.0
-    return tangent_dimension(K, np.zeros(K.n), H)
+        return 0.0
+    return tangent_dimension(K, np.zeros(K.n), None)[0]
 
 
 def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
     """Plain Monte Carlo estimate of E ||Pi_K(h)||^2, the dimension of a cone K."""
     if not K.is_cone:
         raise UnsupportedKindError("Monte Carlo statistical dimension needs a cone (not l1_ball)")
-    H = gaussian_rows(mc.seed, mc.samples, K.n)
-    return mean_se(row_sq_norms(project_rows(K, H)))
+    return mean_se(projected_sq_norms(K, gaussian_rows(mc.seed, mc.samples, K.n)))
+
+
+def projected_sq_norms(K: ConstraintSet, H: np.ndarray) -> np.ndarray:
+    """||Pi_K(h)||^2 for each row h of ``H``, in one ``project_rows`` pass."""
+    return row_sq_norms(project_rows(K, H))
 
 
 def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     """Statistical dimension of the tangent cone T of K at mu0, with SE.
 
-    Closed forms, which never read ``H``: orthant gives (n + p)/2 with p the
-    number of positive coordinates of mu0; a subspace is its own tangent cone.
-    Otherwise the mean of ||Pi_T(h)||^2 over the standard Gaussian rows
-    ``h`` of ``H``.  T = R^n, the mean of ||h||^2 with no projection, when
-    mu0 lies off the l1 sphere or strictly increases (n blocks of one).
-    Else one ``project_rows`` pass of lifted rows.  Monotone
-    cone: T is the product of monotone cones over mu0's constant blocks
-    (exact ties; any gap splits a block); block b is lifted by
-    b * (row range + 1), and one block (a constant mu0) is K itself, whose
-    rows ``H`` are projected as they are.
-    Blocks, l1 support and sphere test are ``face_span``'s.  On the sphere,
-    T = {v : <s, v> + ||v off S||_1 <= 0} with S = supp mu0, s = sign mu0;
+    Exact, with SE 0, except on the l1 sphere: orthant gives (n + p)/2 with p
+    the number of positive coordinates of mu0; a subspace is its own tangent
+    cone; the monotone cone's T is the product of monotone cones over mu0's
+    constant blocks (exact ties; any gap splits a block), so sum_b H_{n_b}
+    (Amelunxen, Lotz, McCoy & Tropp 2014), which is n for n blocks of one;
+    off the l1 sphere T = R^n, so n.  Only on the sphere does it read the
+    standard Gaussian rows ``h`` of ``H`` (pass None otherwise): the mean of
+    ||Pi_T(h)||^2 over one ``project_rows`` pass of lifted rows.  With
+    S = supp mu0 and s = sign mu0, T = {v : <s, v> + ||v off S||_1 <= 0};
     each row is lifted by L s, L = 2 max|H| + 1, and projected onto the ball
-    of radius L |S|.
+    of radius L |S|.  Blocks, l1 support and sphere test are ``face_span``'s.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not K.contains(mu0):
@@ -246,24 +246,16 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     if K.kind == "orthant":  # face_span's positive support, counted without labels
         return (K.n + int(np.count_nonzero(mu0 > 0.0))) / 2.0, 0.0
     label, s = face_span(K, mu0)
-    if s is None and label[-1] == K.n - 1:  # l1 interior, or n blocks of one: T = R^n
-        return mean_se(row_sq_norms(H))
-    if K.kind == "monotone_cone":
-        if not label[-1]:
-            return mean_se(row_sq_norms(project_rows(K, H)))
-        # Lifting block b of each row by b * (row range + 1) puts every block
-        # strictly above the one before, so PAVA never pools across blocks.
-        scale, shift = (H.max(axis=1) - H.min(axis=1) + 1.0)[:, None], label
-        K_T = K
-    else:
-        # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
-        # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
-        L = 2.0 * np.abs(H).max() + 1.0
-        scale, shift, K_T = L, np.append(s, 0.0)[label], ConstraintSet.l1_ball(K.n, L * s.size)
-    # The lift scale * shift is formed twice rather than kept: with H, the
-    # lifted rows and their fits, a kept lift would be a fourth H-sized array.
-    fits = project_rows(K_T, H + scale * shift)
-    fits -= scale * shift
+    if K.kind == "monotone_cone":  # sum_b H_{n_b}, each H_k summed 1/1 + ... + 1/k
+        return float(sum(sum(1.0 / i for i in range(1, k + 1)) for k in np.bincount(label))), 0.0
+    if s is None:  # l1 interior
+        return float(K.n), 0.0
+    # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
+    # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
+    L = 2.0 * np.abs(H).max() + 1.0
+    lift = L * np.append(s, 0.0)[label]
+    fits = project_rows(ConstraintSet.l1_ball(K.n, L * s.size), H + lift)
+    fits -= lift
     return mean_se(row_sq_norms(fits))
 
 
@@ -352,7 +344,11 @@ def _project_l1_rows(K: ConstraintSet, Y: np.ndarray) -> np.ndarray:
     if np.count_nonzero(counts) < counts.size:
         raise DomainError("l1 radius is below the floating-point resolution of the input")
     mu = np.maximum(candidates[np.arange(Y.shape[0]), counts - 1], 0.0)
-    return np.sign(Y) * np.maximum(A - mu[:, None], 0.0)
+    del a, candidates  # the output is formed in the magnitudes' array, with less alive
+    A -= mu[:, None]
+    np.maximum(A, 0.0, out=A)
+    A *= np.sign(Y)
+    return A
 
 
 def _pava(x: np.ndarray, w: np.ndarray = None, r: np.ndarray = None) -> int:

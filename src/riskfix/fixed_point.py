@@ -20,7 +20,8 @@ must stay below 1 for the risk characterization to apply; it is reported
 with a Monte Carlo standard error, from the evaluation at the root.  The
 root-finder sees the plain map s -> E err / n; ``solve`` keeps the rest of
 each evaluation by s (Monte Carlo's three reductions, or a closed form's
-call for E lrt) and reads it at the root it reports.
+call for E lrt) and reads it at the root it reports, or, where E err is
+exactly omega^2 delta_K, reports sigma^2 delta_K / (m - delta_K) as it is.
 """
 
 import math
@@ -33,6 +34,7 @@ import numpy as np
 from .constraints import (
     ConstraintSet,
     MonteCarloConfig,
+    projected_sq_norms,
     statistical_dimension,
     tangent_dimension,
 )
@@ -57,10 +59,12 @@ class FixedPointProblem:
 
     ``signal`` is either an explicit vector in K or a ``DiscretePrior`` of
     i.i.d. coordinates (orthant only); both are checked here, so a built
-    problem is valid.  ``mc`` is the Monte Carlo budget:
-    the orthant and the subspace run their closed forms and leave it
-    unused; every other set draws one Gaussian matrix from it per solve,
-    and its E err, delta_K and delta_T estimates all read those rows.
+    problem is valid.  ``mc`` is the Monte Carlo budget: the orthant, and a
+    signal whose tangent cone is K (0, a monotone constant, a subspace's),
+    run closed forms and leave it unused; every other problem draws one
+    Gaussian matrix from it per solve, which its E err estimates (with the
+    apex control on the monotone cone) and delta_T on the l1 sphere read;
+    delta_K and every other delta_T are exact.
     """
 
     constraint: ConstraintSet
@@ -98,11 +102,12 @@ class FixedPointProblem:
 class FixedPointSolution:
     """Solver output: the risk root, diagnostics and regime classification.
 
-    ``r_sq``/``omega`` are None when no solution exists (m <= delta_K up to
-    the 3-SE guard band).  ``bounds`` are the a-priori brackets
+    ``r_sq``/``omega`` are None when no solution exists (m <= delta_K, which
+    is exact).  ``bounds`` are the a-priori brackets
     ``delta_K/(m - delta_K) <= r^2/sigma^2 <= delta_T/(m - delta_T)_+``.
     ``trace`` is the bracket's lower end after each evaluation of E err,
-    starting at ``r0_sq``, so ``len(trace) - 1`` evaluations were made.
+    starting at ``r0_sq``, so ``len(trace) - 1`` evaluations were made; an
+    exact root counts as one.
     ``bracket`` is ``(lo, hi)`` in r^2, both ends evaluated, with the root
     between them; 0 and inf stand for an end not evaluated yet, and it is
     None without a solution.
@@ -155,38 +160,38 @@ def solve(
 ) -> FixedPointSolution:
     """Solve the fixed-point equation by bracketing its root from r0.
 
-    Existence is gated on ``m > delta_K`` with a 3-SE guard band around the
-    Monte Carlo estimate of delta_K; within the band, or below it, the
-    status is ``no_solution``.  Convergence criterion: evaluated ends
-    ``lo <= r^2 <= hi`` with ``sqrt(hi) - sqrt(lo) <= tol * sqrt(lo)``;
-    ``tol=None`` takes 1e-10 on the closed forms and 1e-6 on Monte Carlo; a
-    tol must lie in (0, 1).  ``max_iter`` caps the evaluations of E err.
-    The root is reported at ``lo``, and the R2 statistic and ``r_se`` come
-    from the evaluation there.  Past the gate, ``m`` below ``10 * L_n`` warns
-    (RuntimeWarning) that the characterization degrades.
+    Existence is gated on ``m > delta_K`` (exact); otherwise the status is
+    ``no_solution``.  Where T_K(mu0) = K, the root
+    ``sigma^2 delta_K / (m - delta_K)`` is reported as it is, with trace
+    ``[r0_sq, r^2]``, bracket ``(r^2, r^2)``, and ``r_se`` and R2 statistic
+    0.  Else, convergence criterion: evaluated ends ``lo <= r^2 <= hi`` with
+    ``sqrt(hi) - sqrt(lo) <= tol * sqrt(lo)``; ``tol=None`` takes 1e-10 on
+    the closed forms and 1e-6 on Monte Carlo; a tol must lie in (0, 1).
+    ``max_iter`` caps the evaluations of E err.  The root is reported at
+    ``lo``, and the R2 statistic and ``r_se`` come from the evaluation
+    there.  Past the gate, ``m`` below ``10 * L_n`` warns (RuntimeWarning)
+    that the characterization degrades.
     """
     m, n = problem.m, problem.n
     sigma2 = problem.sigma2
     sigma = math.sqrt(sigma2)
-    path = _path(problem)
-    if tol is None:
-        tol = 1e-10 if path.rows is None else 1e-6
+    delta_k = statistical_dimension(problem.constraint)
+    err, (delta_t, se_t), default_tol = _path(problem, delta_k)
+    tol = default_tol if tol is None else tol
     if not 0 < tol < 1:  # at 1 or above the first steps pass: "converged" certifies nothing
         raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
 
-    delta_k, se_k = statistical_dimension(problem.constraint, path.rows)
-    delta_t, se_t = path.delta_T
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
-    regime = classify_regime(m, delta_k, se_k, delta_t, se_t)
+    regime = classify_regime(m, delta_k, 0.0, delta_t, se_t)
     bounds = (
         delta_k / (m - delta_k) if m > delta_k else math.inf,
         delta_t / (m - delta_t) if m > delta_t else math.inf,
     )
 
-    if m <= delta_k + 3.0 * se_k:
+    if m <= delta_k:
         return FixedPointSolution(
             r_sq=None, omega=None, trace=[], status="no_solution",
-            delta_K=delta_k, delta_K_se=se_k, delta_T=delta_t, delta_T_se=se_t,
+            delta_K=delta_k, delta_K_se=0.0, delta_T=delta_t, delta_T_se=se_t,
             regime=regime, r2_statistic=None, r2_se=0.0, r2_holds=None,
             r2_verified=None, L_n=l_n, bounds=bounds,
         )
@@ -199,22 +204,27 @@ def solve(
         )
 
     delta = m / n
-    finals = {}  # s -> the rest of its evaluation, read at the reported root
+    if err is None:  # exact: nothing to estimate or bracket
+        r_sq = sigma2 * delta_k / (m - delta_k)
+        bracket, trace, converged, rest = (r_sq, r_sq), [max(r0_sq, 0.0), r_sq], True, (0.0,) * 3
+    else:
+        finals = {}  # s -> the rest of its evaluation, read at the reported root
 
-    def g(s):
-        e, finals[s] = path.err(omega(math.sqrt(s), delta, sigma))
-        return e / n
+        def g(s):
+            e, finals[s] = err(omega(math.sqrt(s), delta, sigma))
+            return e / n
 
-    r_sq, bracket, trace, converged = _root(
-        g, max(r0_sq, 0.0), sigma2, delta_k / m, tol, max_iter)
-    err_se, gap_mean, gap_se = finals[r_sq]()
+        r_sq, bracket, trace, converged = _root(
+            g, max(r0_sq, 0.0), sigma2, delta_k / m, tol, max_iter)
+        rest = finals[r_sq]()
+    err_se, gap_mean, gap_se = rest
     scale = 2.0 * n * sigma2
     r2_stat = gap_mean / scale
     r2_se = gap_se / scale
     return FixedPointSolution(
         r_sq=r_sq, omega=omega(math.sqrt(r_sq), delta, sigma), trace=trace,
         status="converged" if converged else "max_iterations",
-        delta_K=delta_k, delta_K_se=se_k, delta_T=delta_t, delta_T_se=se_t,
+        delta_K=delta_k, delta_K_se=0.0, delta_T=delta_t, delta_T_se=se_t,
         regime=regime, r2_statistic=r2_stat, r2_se=r2_se,
         r2_holds=bool(r2_stat < 1.0),
         r2_verified=bool(r2_stat + 3.0 * r2_se < 1.0),
@@ -345,46 +355,44 @@ def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) ->
     return R2Check(statistic=stat, holds=bool(stat < 1.0))
 
 
-class _Path(NamedTuple):
-    """How one problem evaluates E err: a closed form or Monte Carlo with CRN."""
+def _path(problem: FixedPointProblem, delta_k: float):
+    """How one problem evaluates E err: ``(err, (delta_T, SE), default tol)``.
 
-    err: Callable  # omega -> (E err, () -> (err SE, E(lrt - err), SE))
-    delta_T: tuple  # (delta_T, SE)
-    rows: np.ndarray = None  # Monte Carlo draws for E err, delta_K, delta_T; None if closed
-
-
-def _path(problem: FixedPointProblem) -> _Path:
-    """Closed forms for orthant and subspace, Monte Carlo for every other set.
-
-    ``err(omega)`` returns E err and a call that gives the rest of the
-    evaluation, which ``solve`` makes only at the root it reports: the
-    closed forms compute E lrt there; Monte Carlo reduces its rows at once
-    and keeps three floats, not the rows' arrays.
+    ``err(omega)`` returns E err and a call for the rest of the evaluation,
+    (err SE, E(lrt - err), SE), which ``solve`` makes only at its root:
+    closed forms (tol 1e-10) compute E lrt there; Monte Carlo with common
+    random numbers (tol 1e-6) reduces its rows at once and keeps three
+    floats.  A cone's T_K(mu0) is K itself iff delta_T = delta_K: mu0 is in
+    K's lineality space (0, a constant on the monotone cone, a subspace), so
+    Pi_K(mu0 + omega h) - mu0 = omega Pi_K(h), E err = omega^2 delta_K and
+    lrt = err; ``err`` is then None.  On the monotone cone, row i's err
+    carries the control omega^2 (c_i - delta_K), c_i = ||Pi_K(h_i)||^2 with
+    mean H_n exactly: phi shifts by the constant -(mean c - H_n)/m, so it
+    stays nonincreasing with limit delta_K/m, and the SE shrinks.
     """
     K, n, signal, mc = problem.constraint, problem.n, problem.signal, problem.mc
     if isinstance(signal, DiscretePrior):
-        return _Path(
-            err=lambda w: (n * w * w * prior_G(signal, w),
+        return (lambda w: (n * w * w * prior_G(signal, w),
                            lambda: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0)),
-            delta_T=(n * (1.0 - signal.mass_at_zero / 2.0), 0.0),
-        )
+                (n * (1.0 - signal.mass_at_zero / 2.0), 0.0), 1e-10)
     mu0 = np.asarray(signal, dtype=float)
+    delta_T = tangent_dimension(K, mu0, None) if K.is_cone else None  # the l1 sphere's reads rows
+    if delta_T == (delta_k, 0.0):  # T_K(mu0) = K, so Pi_K(mu0 + omega h) - mu0 = omega Pi_K(h)
+        return None, delta_T, 1e-10
     if K.kind == "orthant":
         def orthant_err(w):
             e = orthant_err_closed_form(mu0, w)
             return e, lambda: (0.0, orthant_lrt_closed_form(mu0, w) - e, 0.0)
 
-        return _Path(err=orthant_err, delta_T=tangent_dimension(K, mu0, None))
-    if K.kind == "subspace":
-        return _Path(err=lambda w: (w**2 * K.subspace_dim, lambda: (0.0, 0.0, 0.0)),
-                     delta_T=tangent_dimension(K, mu0, None))
+        return orthant_err, delta_T, 1e-10
 
     H = gaussian_rows(mc.seed, mc.samples, n)
+    control = projected_sq_norms(K, H) - delta_k if K.is_cone else 0.0  # the l1 ball has none
 
     def err(w):
         e, lrt, _ = process_rows(K, mu0, w, H)
-        mean, se = mean_se(e)
+        mean, se = mean_se(e - w * w * control)
         rest = (se,) + mean_se(lrt - e)
         return mean, lambda: rest
 
-    return _Path(err=err, delta_T=tangent_dimension(K, mu0, H), rows=H)
+    return err, delta_T if K.is_cone else tangent_dimension(K, mu0, H), 1e-6

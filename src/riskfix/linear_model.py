@@ -330,7 +330,8 @@ def run_replicates(
     uses, so the signals share designs and noise (common random numbers) and
     each gets bit for bit the results it gets alone.  The returned list then
     holds one result list per signal, or the ``ValueError`` that stopped
-    that signal and no other.
+    that signal and no other, such as a ``DomainError`` naming its first
+    unconverged replicate: its risks are never pooled, so it stops there.
     """
     single = not isinstance(mu0, list)
     signals = [np.asarray(mu, dtype=float) for mu in ([mu0] if single else mu0)]
@@ -349,7 +350,10 @@ def run_replicates(
                     inst = generate_instance(m, n, mu, sigma, seed=child_seed(base_seed, i))
                 else:
                     inst = replace(inst, mu0=mu, Y=inst.X @ mu + inst.xi)
-                out[s].append(solve_instance(K, inst, solver_choice))
+                res = solve_instance(K, inst, solver_choice)
+                if not (single or res.converged):
+                    raise DomainError(f"replicate {i} did not converge")
+                out[s].append(res)
             except ValueError as exc:
                 out[s] = exc
     if not single:
@@ -375,23 +379,14 @@ def empirical_risk(
     instances (``run_replicates``), returns each signal's per-replicate
     risks, or the error that stopped it, for the caller to pool.  A signal
     with a replicate whose solver did not converge has no risks: its error
-    is a ``DomainError`` counting such replicates (raised for one signal).
+    is a ``DomainError`` naming the first (raised for one signal).
     """
     if isinstance(mu0, list):
-        return [res if isinstance(res, ValueError) else _risks(res)
+        return [res if isinstance(res, ValueError) else [r.risk for r in res]
                 for res in run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)]
     if replicates < 10:
         raise DomainError("empirical_risk needs at least 10 replicates")
-    risks = _risks(run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice))
+    [risks] = empirical_risk(K, [mu0], m, n, sigma, replicates, base_seed, solver_choice)
     if isinstance(risks, ValueError):
         raise risks
-    mean, se = mean_se(np.array(risks))
-    return mean, se, risks
-
-
-def _risks(results) -> list:
-    """Each replicate's risk, or the ``DomainError`` if any did not converge."""
-    missed = sum(not res.converged for res in results)
-    if missed:
-        return DomainError(f"{missed} of {len(results)} replicates did not converge")
-    return [res.risk for res in results]
+    return mean_se(np.array(risks)) + (risks,)

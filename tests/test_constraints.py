@@ -7,6 +7,7 @@ bisection.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,8 +282,6 @@ class TestPavaCore:
         H = gaussian_rows(3, 200, 50)
         before = H.tobytes()
         project_rows(K, H)
-        statistical_dimension(K, H)
-        tangent_dimension(K, np.linspace(-1.0, 1.0, 50), H)
         assert H.tobytes() == before
         for x in (H[0].copy(), np.round(H[0])):  # the second has equal neighbours
             before = x.tobytes()
@@ -522,6 +521,25 @@ class TestProjectionInvariants:
             assert rows[i].tobytes() == project(K, Y[i]).point.tobytes(), i
         assert np.all(np.abs(rows) <= np.abs(Y))
 
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_l1_rows_peak_memory(self, n):
+        # the output is formed in the magnitudes' array once the sorted copy
+        # and the candidates are gone: about 4 H-sized arrays at the peak
+        rng = np.random.default_rng(18)
+        K = ConstraintSet.l1_ball(n, 0.5 * n)
+        Y = rng.standard_normal((2000, n)) * rng.uniform(0.1, 2.0, (2000, 1))
+        Y[::7, ::3] = 0.0
+        Y[::11, 1::4] = -0.0
+        tracemalloc.start()
+        try:
+            rows = project_rows(K, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * Y.nbytes
+        mu = np.array([l1_threshold(y, K.radius) for y in Y])
+        assert rows.tobytes() == (np.sign(Y) * np.maximum(np.abs(Y) - mu[:, None], 0.0)).tobytes()
+
 
 def face_matrix(K: ConstraintSet, label: np.ndarray) -> np.ndarray:
     """The B of ``face_span``'s labels, formed densely (small n only)."""
@@ -587,18 +605,29 @@ class TestFace:
 
 class TestDimensions:
     def test_orthant_closed_form(self):
-        est, se = statistical_dimension(ConstraintSet.orthant(50), None)
-        assert est == 25.0 and se == 0.0
+        assert statistical_dimension(ConstraintSet.orthant(50)) == 25.0
 
     def test_subspace_closed_form(self):
-        K = ConstraintSet.coordinate_subspace(10, 7)
-        est, se = statistical_dimension(K, None)
-        assert est == 7.0 and se == 0.0
+        assert statistical_dimension(ConstraintSet.coordinate_subspace(10, 7)) == 7.0
 
-    def test_monotone_harmonic_number(self):
-        K = ConstraintSet.monotone_cone(100)
-        est, se = statistical_dimension(K, gaussian_rows(42, 10_000, 100))
-        assert abs(est - HARMONIC_100) <= 3.0 * se
+    def test_monotone_harmonic_number(self, monkeypatch):
+        # exact H_n, summed 1/1 + ... + 1/n, with no sampling; the plain Monte
+        # Carlo estimate of E ||Pi_K(h)||^2 agrees with it
+        exact = float(sum(Fraction(1, i) for i in range(1, 101)))
+        est, se = mc_statistical_dimension(ConstraintSet.monotone_cone(100),
+                                           MonteCarloConfig(10_000, 42))
+
+        def no_rows(*args):
+            raise AssertionError("rows drawn or projected")
+
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
+        monkeypatch.setattr(constraints, "gaussian_rows", no_rows)
+        for n in (1, 2, 100, 4000):
+            assert statistical_dimension(ConstraintSet.monotone_cone(n)) == sum(
+                1.0 / i for i in range(1, n + 1))
+        assert statistical_dimension(ConstraintSet.monotone_cone(100)) == pytest.approx(
+            exact, rel=1e-15, abs=0.0)
+        assert abs(est - exact) <= 3.0 * se
 
     def test_mc_orthant_matches_closed_form(self):
         K = ConstraintSet.orthant(50)
@@ -612,7 +641,7 @@ class TestDimensions:
 
         monkeypatch.setattr(constraints, "project_rows", no_rows)
         K = ConstraintSet.l1_ball(20, 1.0)
-        assert statistical_dimension(K, None) == (0.0, 0.0)
+        assert statistical_dimension(K) == 0.0
 
     def test_mc_statistical_dimension_needs_a_cone(self):
         # E ||Pi_K(h)||^2 is delta_K only for a cone; the l1 ball's is 0
@@ -655,62 +684,48 @@ class TestDimensions:
 
     def test_monotone_tangent_piecewise_signal(self):
         # two-piece signal: tangent cone splits into two monotone cones plus
-
         # the span of the pieces; its dimension must exceed delta_K
         n = 40
         K = ConstraintSet.monotone_cone(n)
         mu0 = np.repeat([0.0, 1.0], n // 2)
-        H = gaussian_rows(7, 4000, n)
-        dt, se_t = tangent_dimension(K, mu0, H)
-        dk, se_k = statistical_dimension(K, H)
-        assert dk <= dt + 3.0 * (se_k + se_t)
+        dt, se_t = tangent_dimension(K, mu0, None)
+        assert statistical_dimension(K) < dt and se_t == 0.0
 
-    @pytest.mark.parametrize("mu0, seed, samples", [
+    @pytest.mark.parametrize("mu0", [
         # blocks a tiny gap apart are separate blocks of the tangent cone
-        (5.0 + np.repeat([0.0, 1e-6], 10), 0, 500),
-        (5.0 + np.repeat([0.0, 1e-12], 10), 0, 500),
-        (np.sort(np.random.default_rng(5).standard_normal(50)), 6, 2000),
-        (resolve_signal("piecewise_constant:4", 300), 7, 2000),
-        (resolve_signal("piecewise_constant:30", 300), 7, 2000),
-        (resolve_signal("piecewise_constant:150", 300), 7, 2000),
+        5.0 + np.repeat([0.0, 1e-6], 10),
+        5.0 + np.repeat([0.0, 1e-12], 10),
+        np.sort(np.random.default_rng(5).standard_normal(50)),
+        resolve_signal("piecewise_constant:4", 300),
+        resolve_signal("piecewise_constant:30", 300),
+        resolve_signal("piecewise_constant:150", 300),
     ], ids=["gap-1e-6", "gap-1e-12", "all-distinct", "pieces-4", "pieces-30", "pieces-150"])
-    def test_monotone_tangent_matches_block_oracle(self, mu0, seed, samples, monkeypatch):
-        rows = gaussian_rows(seed, samples, mu0.size)
-        calls = []
+    def test_monotone_tangent_matches_block_oracle(self, mu0, monkeypatch):
+        # exact, sum_b H_{n_b}: the oracle's float bit for bit, with SE 0 and no rows
+        def no_rows(*args):
+            raise AssertionError("project_rows called")
 
-        def counting(K, Y):
-            calls.append(Y.shape)
-            return project_rows(K, Y)
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
+        est, se = tangent_dimension(ConstraintSet.monotone_cone(mu0.size), mu0, None)
+        assert (est, se) == (monotone_tangent_oracle(mu0), 0.0)
 
-        monkeypatch.setattr(constraints, "project_rows", counting)
-        est, se = tangent_dimension(ConstraintSet.monotone_cone(mu0.size), mu0, rows)
-        assert abs(est - monotone_tangent_oracle(mu0)) <= 4.0 * se
-        # a strictly increasing mu0 (all-distinct) has T = R^n and projects nothing
-        assert calls == ([] if np.all(np.diff(mu0) > 0.0) else [rows.shape])
-
-    @pytest.mark.parametrize("K, H", [
-        (ConstraintSet.orthant(20), None),
-        (ConstraintSet.monotone_cone(30), gaussian_rows(8, 500, 30)),
-        (ConstraintSet.coordinate_subspace(10, 4), None),
+    @pytest.mark.parametrize("K", [
+        ConstraintSet.orthant(20), ConstraintSet.monotone_cone(30),
+        ConstraintSet.coordinate_subspace(10, 4),
     ], ids=["orthant", "monotone_cone", "subspace"])
-    def test_statistical_dimension_is_tangent_dimension_at_apex(self, K, H):
+    def test_statistical_dimension_is_tangent_dimension_at_apex(self, K):
         # T_K(0) = K for a cone
-        assert statistical_dimension(K, H) == tangent_dimension(K, np.zeros(K.n), H)
+        assert (statistical_dimension(K), 0.0) == tangent_dimension(K, np.zeros(K.n), None)
 
     def test_monotone_tangent_of_constant_signal_is_delta_k(self, monkeypatch):
-        # one block is K itself: no lift, so project_rows gets H, not a lifted copy
+        # one block is K itself: H_n, with no rows projected
+        def no_rows(*args):
+            raise AssertionError("project_rows called")
+
+        monkeypatch.setattr(constraints, "project_rows", no_rows)
         K = ConstraintSet.monotone_cone(30)
-        H = gaussian_rows(8, 500, 30)
-        seen = []
-
-        def recording(K, Y):
-            seen.append(Y)
-            return project_rows(K, Y)
-
-        monkeypatch.setattr(constraints, "project_rows", recording)
         for mu0 in (np.zeros(30), np.full(30, -2.5)):
-            assert tangent_dimension(K, mu0, H) == statistical_dimension(K, H)
-        assert len(seen) == 4 and all(Y is H for Y in seen)
+            assert tangent_dimension(K, mu0, None) == (statistical_dimension(K), 0.0)
 
     @pytest.mark.parametrize("mu0, seed, reference", [
         # the l1-grid signal on the sphere of radius 50.5: S is everything, so
@@ -737,27 +752,26 @@ class TestDimensions:
         if reference is not None:
             assert abs(est - reference) <= 4.0 * se
 
-    def test_l1_tangent_inside_the_ball_is_the_row_mean(self, monkeypatch):
+    def test_l1_tangent_inside_the_ball_is_n(self, monkeypatch):
+        # T = R^n, whose statistical dimension is n exactly; no rows are read
         def no_rows(*args):
             raise AssertionError("project_rows called")
 
         monkeypatch.setattr(constraints, "project_rows", no_rows)
-        H = gaussian_rows(10, 500, 20)
         K = ConstraintSet.l1_ball(20, 5.0)
         for mu0 in (np.zeros(20), np.linspace(-0.4, 0.4, 20)):
-            assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
+            assert tangent_dimension(K, mu0, None) == (20.0, 0.0)
 
     @pytest.mark.parametrize("mu0", [resolve_signal("linear", 30), np.array([-2.0])],
                              ids=["increasing", "n1"])
-    def test_monotone_tangent_of_n_blocks_is_the_row_mean(self, mu0, monkeypatch):
+    def test_monotone_tangent_of_n_blocks_is_n(self, mu0, monkeypatch):
         # n blocks of one, like the l1 interior: T = R^n, read off the face
         def no_rows(*args):
             raise AssertionError("project_rows called")
 
         monkeypatch.setattr(constraints, "project_rows", no_rows)
-        H = gaussian_rows(13, 500, mu0.size)
         K = ConstraintSet.monotone_cone(mu0.size)
-        assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
+        assert tangent_dimension(K, mu0, None) == (float(mu0.size), 0.0)
 
     def test_l1_tangent_just_inside_the_sphere_reads_the_interior(self, monkeypatch):
         # face's sphere test, ||mu0||_1 >= (1 - 1e-12) radius, decides
@@ -765,10 +779,9 @@ class TestDimensions:
             raise AssertionError("project_rows called")
 
         monkeypatch.setattr(constraints, "project_rows", no_rows)
-        H = gaussian_rows(10, 500, 20)
         mu0 = np.linspace(-1.0, 1.0, 20)
         K = ConstraintSet.l1_ball(20, np.abs(mu0).sum() / (1.0 - 1e-9))
-        assert tangent_dimension(K, mu0, H) == mean_se(row_sq_norms(H))
+        assert tangent_dimension(K, mu0, None) == (20.0, 0.0)
 
     def test_l1_tangent_a_few_ulps_inside_reads_the_sphere(self):
         rng = np.random.default_rng(12)
@@ -780,7 +793,7 @@ class TestDimensions:
         H = gaussian_rows(11, 500, 30)
         sphere = tangent_dimension(ConstraintSet.l1_ball(30, short), mu0, H)
         assert tangent_dimension(ConstraintSet.l1_ball(30, radius), mu0, H) == sphere
-        assert sphere[0] < mean_se(row_sq_norms(H))[0] - 10.0
+        assert sphere[0] < 30.0 - 10.0
 
     def test_delta_monotonicity_across_pairs(self):
         rng = np.random.default_rng(18)
@@ -791,9 +804,8 @@ class TestDimensions:
             (ConstraintSet.l1_ball(20, 2.0), np.zeros(20)),
         ]
         for K, mu0 in cases:
-            dk, se_k = statistical_dimension(K, H)
             dt, se_t = tangent_dimension(K, mu0, H)
-            assert dk <= dt + 3.0 * (se_k + se_t)
+            assert statistical_dimension(K) <= dt + 3.0 * se_t
 
     def test_samples_floor(self):
         with pytest.raises(DomainError):

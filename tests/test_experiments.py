@@ -272,13 +272,19 @@ class TestRunExperiment:
         reference = run_quiet(config)
         pgd_solve = riskfix.linear_model.pgd_solve
         monkeypatch.setattr(riskfix.linear_model, "pgd_solve", functools.partial(pgd_solve, max_iter=1))
+        solved, solve_instance = [], riskfix.linear_model.solve_instance
+        monkeypatch.setattr(riskfix.linear_model, "solve_instance",
+                            lambda K, inst, choice: solved.append(inst.mu0[0])
+                            or solve_instance(K, inst, choice))
         records = run_quiet(config)
-        # replicate 2 stops constant:5 in its first block, replicates 0-4
-        assert records[0].regime == "error: 1 of 5 replicates did not converge"
+        # replicate 2 stops constant:5 in its first block, replicates 0-4, and
+        # replicates 3 and 4 are not solved for it
+        assert records[0].regime == "error: replicate 2 did not converge"
+        assert solved.count(5.0) == 3 and solved.count(0.0) == 10
         assert records[0].r_theory_sq is None and records[0].risk_emp_mean is None
         assert _values(records[1]) == _values(reference[1])
         K, design_seed = ConstraintSet.orthant(50), child_seed(child_seed(0, 0), 1)
-        with pytest.raises(DomainError, match="^1 of 10 replicates did not converge$"):
+        with pytest.raises(DomainError, match="^replicate 2 did not converge$"):
             empirical_risk(K, np.full(50, 5.0), 60, 50, 1.0, 10, design_seed)
         assert empirical_risk(K, np.zeros(50), 60, 50, 1.0, 10, design_seed)[0] > 0
 

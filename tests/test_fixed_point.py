@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskfix.constraints import ConstraintSet, MonteCarloConfig
+from riskfix.constraints import ConstraintSet, MonteCarloConfig, project_rows, row_sq_norms
 from riskfix.errors import DescriptorError, DomainError, NoSolutionError
 from riskfix import constraints, fixed_point
 from riskfix.fixed_point import (
@@ -235,15 +235,15 @@ class TestSolveMonteCarlo:
         n = 60
         K = ConstraintSet.monotone_cone(n)
         problem = FixedPointProblem(
-            K, np.zeros(n), 3 * n, n, 1.0, MonteCarloConfig(samples=2000, seed=31)
+            K, resolve_signal("linear", n), 3 * n, n, 1.0, MonteCarloConfig(samples=2000, seed=31)
         )
         sol = quiet_solve(problem)
-        assert sol.status == "converged"
+        assert sol.status == "converged" and len(sol.trace) > 2
         trace = np.array(sol.trace)
         assert np.all(np.diff(trace) >= -1e-14)  # CRN keeps the map monotone
-        # harmonic-number risk scale: delta_K/(m - delta_K) approx 0.035
+        # between delta_K/(m - delta_K), about 0.026, and delta_T/(m - delta_T) = 0.5
         lo, hi = sol.bounds
-        assert lo - 3 * sol.delta_K_se <= sol.r_sq <= hi + 3 * sol.delta_T_se
+        assert lo <= sol.r_sq <= hi
         assert sol.r2_holds
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -258,6 +258,54 @@ class TestSolveMonteCarlo:
         h_n = sum(1.0 / k for k in range(1, n + 1))
         assert sol.status == "converged"
         assert abs(sol.r_sq - h_n / (n - h_n)) <= 6.0 * sol.r_se
+
+    @pytest.mark.parametrize("K, signal, m, sigma2", [
+        (ConstraintSet.monotone_cone(100), np.zeros(100), 100, 1.0),
+        (ConstraintSet.monotone_cone(300), np.full(300, -2.5), 40, 0.3),
+        (ConstraintSet.orthant(50), np.zeros(50), 40, 1.0),
+        (ConstraintSet.coordinate_subspace(100, 10), np.zeros(100), 40, 2.0),
+        (ConstraintSet.coordinate_subspace(20, 5), np.r_[np.ones(5), np.zeros(15)], 8, 1.0),
+    ], ids=["monotone", "monotone-constant", "orthant", "subspace", "subspace-signal"])
+    def test_exact_root_draws_and_projects_nothing(self, K, signal, m, sigma2, monkeypatch):
+        # where the tangent cone at mu0 is K (a cone's apex, a monotone
+        # constant, any point of a subspace), E err(omega) = omega^2 delta_K
+        # exactly, so the root is closed-form: no rows, no root-finder
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rows drawn or projected, or the root bracketed")
+
+        for module, name in ((fixed_point, "gaussian_rows"), (constraints, "gaussian_rows"),
+                             (constraints, "project_rows"), (fixed_point, "process_rows"),
+                             (fixed_point, "_root")):
+            monkeypatch.setattr(module, name, forbidden)
+        n = K.n
+        sol = quiet_solve(FixedPointProblem(K, signal, m, n, sigma2, MonteCarloConfig(100, 0)),
+                          r0_sq=3.0)
+        delta_k = constraints.statistical_dimension(K)
+        exact = sigma2 * delta_k / (m - delta_k)
+        assert sol.status == "converged" and sol.r_sq == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert (sol.r_se, sol.r2_statistic, sol.r2_se) == (0.0, 0.0, 0.0) and sol.r2_verified
+        assert sol.trace == [3.0, sol.r_sq] and sol.bracket == (sol.r_sq, sol.r_sq)
+        assert sol.omega == omega(math.sqrt(sol.r_sq), m / n, math.sqrt(sigma2))
+
+    def test_apex_control_shrinks_the_se(self, monkeypatch):
+        # monotone linear, n = m = 100: E err is estimated as the mean of
+        # err_i - omega^2 (c_i - H_n), c_i = ||Pi_K(h_i)||^2, which keeps g
+        # nondecreasing and phi = g / (s + sigma^2) nonincreasing
+        evaluations = []
+
+        def recording(g, *args, real=fixed_point._root):
+            return real(lambda s: evaluations.append((s, g(s))) or evaluations[-1][1], *args)
+
+        monkeypatch.setattr(fixed_point, "_root", recording)
+        n, mc = 100, MonteCarloConfig(samples=2000, seed=2600)
+        K, mu0 = ConstraintSet.monotone_cone(n), resolve_signal("linear", n)
+        sol = quiet_solve(FixedPointProblem(K, mu0, n, n, 1.0, mc))
+        assert sol.status == "converged" and len(evaluations) >= 3
+        H = gaussian_rows(mc.seed, mc.samples, n)
+        plain_se = mean_se(process_rows(K, mu0, sol.omega, H)[0])[1] / n
+        assert plain_se >= 2.5 * sol.r_se > 0.0
+        s, g = np.array(sorted(evaluations)).T
+        assert np.all(np.diff(g) >= 0.0) and np.all(np.diff(g / (s + 1.0)) <= 0.0)
 
     @pytest.mark.parametrize("mu0, m, sigma2", [
         (np.r_[2.0, -1.0, 0.5, -0.5, np.zeros(46)], 40, 1e-4),
@@ -280,7 +328,7 @@ class TestSolveMonteCarlo:
         n = 40
         K = ConstraintSet.monotone_cone(n)
         problem = FixedPointProblem(
-            K, np.zeros(n), 120, n, 1.0, MonteCarloConfig(samples=1000, seed=32)
+            K, resolve_signal("quadratic", n), 120, n, 1.0, MonteCarloConfig(samples=1000, seed=32)
         )
         tol = 1e-8
         base = quiet_solve(problem, tol=tol)
@@ -315,21 +363,23 @@ class TestEvaluationPath:
 
         monkeypatch.setattr(fixed_point, "process_rows", counting)
         n = 40
-        problem = FixedPointProblem(ConstraintSet.monotone_cone(n), np.zeros(n), 120, n, 1.0,
-                                    MonteCarloConfig(samples=500, seed=34))
+        problem = FixedPointProblem(ConstraintSet.monotone_cone(n), resolve_signal("linear", n),
+                                    120, n, 1.0, MonteCarloConfig(samples=500, seed=34))
         sol = quiet_solve(problem)
         assert sol.status == "converged"
         # the R2 statistic and r_se come from the evaluation at the root
-        assert len(calls) == len(sol.trace) - 1
+        assert len(calls) == len(sol.trace) - 1 > 1
 
     def test_bracket_holds_oracle_root_on_rows(self):
-        # brentq on the mean over the solve's own rows: the same empirical map
+        # brentq on the controlled mean over the solve's own rows: the same empirical map
         n, m, mc = 40, 40, MonteCarloConfig(samples=500, seed=36)
         K, mu0 = ConstraintSet.monotone_cone(n), np.linspace(0.0, 2.0, n)
         H = gaussian_rows(mc.seed, mc.samples, n)
         tol = 1e-10
         sol = quiet_solve(FixedPointProblem(K, mu0, m, n, 1.0, mc), tol=tol)
-        root, slack = fixed_point_root_oracle(lambda w: process_rows(K, mu0, w, H)[0].mean(), n, m)
+        control = row_sq_norms(project_rows(K, H)) - constraints.statistical_dimension(K)
+        root, slack = fixed_point_root_oracle(
+            lambda w: (process_rows(K, mu0, w, H)[0] - w * w * control).mean(), n, m)
         lo, hi = sol.bracket
         assert sol.status == "converged" and sol.r_sq == lo
         assert lo * (1 - 1e-13) - slack <= root <= hi * (1 + 1e-13) + slack
@@ -337,20 +387,23 @@ class TestEvaluationPath:
         assert np.all(np.diff(sol.trace) >= 0.0)
 
     def test_root_statistics_are_the_rows_reductions_there(self):
-        # solve keeps three floats per evaluation and reads those at the root
+        # solve keeps three floats per evaluation and reads those at the root;
+        # r_se is the SE of err_i - omega^2 (c_i - H_n), the apex control
         n, m, mc = 40, 60, MonteCarloConfig(samples=500, seed=37)
         K, mu0 = ConstraintSet.monotone_cone(n), resolve_signal("quadratic", n)
         sol = quiet_solve(FixedPointProblem(K, mu0, m, n, 1.0, mc))
         assert sol.status == "converged"
-        e, lrt, _ = process_rows(K, mu0, sol.omega, gaussian_rows(mc.seed, mc.samples, n))
+        H = gaussian_rows(mc.seed, mc.samples, n)
+        e, lrt, _ = process_rows(K, mu0, sol.omega, H)
         gap_mean, gap_se = mean_se(lrt - e)
-        assert sol.r_se == mean_se(e)[1] / n
+        control = row_sq_norms(project_rows(K, H)) - constraints.statistical_dimension(K)
+        assert sol.r_se == mean_se(e - sol.omega * sol.omega * control)[1] / n
         assert sol.r2_statistic == gap_mean / (2.0 * n)
         assert sol.r2_se == gap_se / (2.0 * n)
 
     def test_one_draw_per_monte_carlo_solve(self, monkeypatch):
-        # delta_K, delta_T and every E err evaluation read the same rows;
-        # the closed forms draw none
+        # the apex control, delta_T on the l1 sphere and every E err
+        # evaluation read the same rows; the closed forms draw none
         calls = []
 
         def counting(*args):
@@ -362,7 +415,8 @@ class TestEvaluationPath:
         n = 30
         mc = MonteCarloConfig(samples=200, seed=35)
         cases = [
-            (ConstraintSet.monotone_cone(n), np.zeros(n), 60, 1),
+            (ConstraintSet.monotone_cone(n), resolve_signal("linear", n), 60, 1),
+            (ConstraintSet.monotone_cone(n), np.zeros(n), 60, 0),
             (ConstraintSet.l1_ball(n, 2.0), np.zeros(n), 40, 1),
             (ConstraintSet.orthant(n), np.full(n, 5.0), 40, 0),
             (ConstraintSet.orthant(n), DiscretePrior([(0.0, 0.3), (2.0, 0.7)]), 40, 0),
