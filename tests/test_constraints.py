@@ -33,16 +33,12 @@ from riskfix.constraints import (
     polar_project,
     project,
     project_rows,
-    row_sq_norms,
     statistical_dimension,
     tangent_dimension,
 )
 from riskfix.errors import DescriptorError, DomainError, UnsupportedKindError
 from riskfix.experiments import resolve_signal
-from riskfix.seeds import gaussian_rows, mean_se
-
-HARMONIC_100 = sum(1.0 / i for i in range(1, 101))  # 5.187377517639621
-
+from riskfix.seeds import gaussian_rows
 
 def random_constraint(kind: str, n: int, rng) -> ConstraintSet:
     if kind == "orthant":
