@@ -204,7 +204,7 @@ def cmd_fixed_point(args) -> None:
         f"regime: {sol.regime}",
         f"r2_statistic: {sol.r2_statistic!r} (holds: {sol.r2_holds}, verified: {sol.r2_verified})",
         f"bounds on r_sq/sigma_sq: [{sol.bounds[0]!r}, {sol.bounds[1]!r}]",
-        f"delta_K: {sol.delta_K!r} +- {sol.delta_K_se!r}",
+        f"delta_K: {sol.delta_K!r}",
         f"delta_T: {sol.delta_T!r} +- {sol.delta_T_se!r}",
         f"L_n: {sol.L_n!r}",
         f"iterations: {iterations}",

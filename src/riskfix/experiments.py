@@ -275,7 +275,7 @@ def _run_grid_point(config: ExperimentConfig, g: int, n: int, m: int) -> list:
     """The records of every signal at grid point g, in signal order.
 
     Replicate i's design and noise come from ``child_seed(design_seed, i)``
-    and every signal is solved on them (``run_replicates``), so the signals
+    and every signal is solved on them (``empirical_risk``), so the signals
     share them.  The replicates are split into one equal block per signal:
     cell s runs its theory, then the block's replicates for every signal.
     A cell's runtime is its theory plus its verify block.

@@ -118,7 +118,6 @@ class FixedPointSolution:
     trace: list
     status: str  # converged | no_solution | max_iterations
     delta_K: float
-    delta_K_se: float
     delta_T: float
     delta_T_se: float
     regime: str  # I | II | III | indeterminate
@@ -137,17 +136,18 @@ class R2Check(NamedTuple):
     holds: bool
 
 
-def classify_regime(m, delta_k, se_k, delta_t, se_t) -> str:
-    """Sampling regime relative to delta_K and delta_T with 3-SE guard bands.
+def classify_regime(m, delta_k, delta_t, se_t) -> str:
+    """Sampling regime relative to delta_K (exact) and delta_T with a 3-SE guard band.
 
     I: m above delta_T; II: between delta_K and delta_T; III: below
-    delta_K; ``indeterminate`` when m falls inside a guard band.
+    delta_K; ``indeterminate`` when m equals delta_K or falls inside the
+    guard band.
     """
-    if m < delta_k - 3.0 * se_k:
+    if m < delta_k:
         return "III"
     if m > delta_t + 3.0 * se_t:
         return "I"
-    if m > delta_k + 3.0 * se_k and m < delta_t - 3.0 * se_t:
+    if delta_k < m < delta_t - 3.0 * se_t:
         return "II"
     return "indeterminate"
 
@@ -167,7 +167,8 @@ def solve(
     0.  Else, convergence criterion: evaluated ends ``lo <= r^2 <= hi`` with
     ``sqrt(hi) - sqrt(lo) <= tol * sqrt(lo)``; ``tol=None`` takes 1e-10 on
     the closed forms and 1e-6 on Monte Carlo; a tol must lie in (0, 1).
-    ``max_iter`` caps the evaluations of E err.  The root is reported at
+    ``max_iter`` caps the evaluations of E err; it must be at least 1, and
+    both are checked before any work.  The root is reported at
     ``lo``, and the R2 statistic and ``r_se`` come from the evaluation
     there.  Past the gate, ``m`` below ``10 * L_n`` warns (RuntimeWarning)
     that the characterization degrades.
@@ -175,14 +176,17 @@ def solve(
     m, n = problem.m, problem.n
     sigma2 = problem.sigma2
     sigma = math.sqrt(sigma2)
+    # at tol 1 or above the first steps pass: "converged" certifies nothing
+    if tol is not None and not 0 < tol < 1:
+        raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     delta_k = statistical_dimension(problem.constraint)
     err, (delta_t, se_t), default_tol = _path(problem, delta_k)
     tol = default_tol if tol is None else tol
-    if not 0 < tol < 1:  # at 1 or above the first steps pass: "converged" certifies nothing
-        raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
 
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
-    regime = classify_regime(m, delta_k, 0.0, delta_t, se_t)
+    regime = classify_regime(m, delta_k, delta_t, se_t)
     bounds = (
         delta_k / (m - delta_k) if m > delta_k else math.inf,
         delta_t / (m - delta_t) if m > delta_t else math.inf,
@@ -191,7 +195,7 @@ def solve(
     if m <= delta_k:
         return FixedPointSolution(
             r_sq=None, omega=None, trace=[], status="no_solution",
-            delta_K=delta_k, delta_K_se=0.0, delta_T=delta_t, delta_T_se=se_t,
+            delta_K=delta_k, delta_T=delta_t, delta_T_se=se_t,
             regime=regime, r2_statistic=None, r2_se=0.0, r2_holds=None,
             r2_verified=None, L_n=l_n, bounds=bounds,
         )
@@ -224,7 +228,7 @@ def solve(
     return FixedPointSolution(
         r_sq=r_sq, omega=omega(math.sqrt(r_sq), delta, sigma), trace=trace,
         status="converged" if converged else "max_iterations",
-        delta_K=delta_k, delta_K_se=0.0, delta_T=delta_t, delta_T_se=se_t,
+        delta_K=delta_k, delta_T=delta_t, delta_T_se=se_t,
         regime=regime, r2_statistic=r2_stat, r2_se=r2_se,
         r2_holds=bool(r2_stat < 1.0),
         r2_verified=bool(r2_stat + 3.0 * r2_se < 1.0),
@@ -243,7 +247,7 @@ def nnls_solve(
 
     Deterministic, bracketed from 0 by the same root-finder as ``solve``;
     requires ratio = m/n > 1/2 (the orthant has delta_K / n = 1/2) and
-    0 < tol < 1.  ``max_iter`` caps the evaluations.  Returns r, not r^2.
+    0 < tol < 1.  ``max_iter`` (at least 1) caps the evaluations.  Returns r, not r^2.
     """
     if not ratio > 0.5:
         raise NoSolutionError("NNLS fixed point needs m/n > 1/2")
@@ -251,6 +255,8 @@ def nnls_solve(
         raise DomainError("sigma must be positive")
     if not 0 < tol < 1:
         raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
 
     def g(s):
         w = omega(math.sqrt(s), ratio, sigma)
@@ -288,10 +294,8 @@ def _root(g: Callable, s0: float, c: float, phi_inf: float, tol: float, max_iter
     Returns ``(s, (lo, hi), trace, converged)``: the lower end (s0 while
     none is evaluated), the bracket (0 and inf for an end not evaluated),
     and the lower end after each evaluation, starting at s0.  ``max_iter``
-    caps the evaluations.
+    (at least 1) caps the evaluations.
     """
-    if not max_iter >= 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     lo, hi = 0.0, math.inf  # evaluated ends, or 0 and inf (f_lo is None until lo is)
     u_lo, f_lo, u_hi, f_hi = 1.0, None, 0.0, phi_inf - 1.0  # false-position ends
     side = None  # the end the last evaluation replaced

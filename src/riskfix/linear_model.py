@@ -12,9 +12,10 @@ mapping at step m / sigma_max(X)^2 with tol 1e-10, AMP's at step n with
 tolerance ``_KKT_TOL`` = 1e-7, both relative to ``||X^T Y|| / m``), and
 report objective and risk at the returned point (``_result``).  K is
 reached only through ``constraints`` (``project``; ``face`` and
-``face_span`` for the polish), never by its kind.  Empirical risk aggregates
-independent replicates with per-replicate child seeds, and only converged
-ones; several signals can share each replicate's design and noise.
+``face_span`` for the polish), never by its kind.  ``run_replicates``
+solves one signal on independent replicates with per-replicate child seeds;
+``empirical_risk`` solves several signals on each replicate's shared design
+and noise and keeps their risks from converged solves only.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, face, face_span, project
 from .errors import DomainError
-from .seeds import child_seed, mean_se
+from .seeds import child_seed
 
 # Objectives below this are numerical zero (interpolation regime); relative
 # decrease is meaningless there, so PGD stops on the KKT certificate instead.
@@ -316,28 +317,48 @@ def run_replicates(
     m: int,
     n: int,
     sigma: float,
+    replicates: int,
+    base_seed: int = 0,
+    solver_choice: str = "auto",
+) -> list:
+    """One signal's independent instances; one SolverResult per replicate, in order.
+
+    Replicate i draws X and xi from ``child_seed(base_seed, i)``
+    (``generate_instance``).  Every result is returned, converged or not
+    (``riskfix simulate`` prints them).
+    """
+    if replicates < 1:
+        raise DomainError(f"replicates must be at least 1, got {replicates}")
+    return [solve_instance(K, generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, i)),
+                           solver_choice)
+            for i in range(replicates)]
+
+
+def empirical_risk(
+    K: ConstraintSet,
+    signals: list,
+    m: int,
+    n: int,
+    sigma: float,
     replicates,
     base_seed: int = 0,
     solver_choice: str = "auto",
-):
-    """Independent instances with child seeds; list of SolverResult in order.
+) -> list:
+    """Monte Carlo risks of the constrained LSE for several signals on shared instances.
 
     ``replicates`` is a count or the replicate indices to run.  Replicate i
-    draws X and xi once, from ``child_seed(base_seed, i)``.  ``mu0`` may be a
-    list of signals instead of one, each a vector or an array with one row
-    per replicate index; every signal is then solved on each replicate's
-    X and xi with ``Y = X mu0 + xi``, the expression ``generate_instance``
+    draws X and xi once, from ``child_seed(base_seed, i)``, and solves every
+    signal (a vector, or an array with one row per replicate, in run order)
+    on them with ``Y = X mu0 + xi``, the expression ``generate_instance``
     uses, so the signals share designs and noise (common random numbers) and
-    each gets bit for bit the results it gets alone.  The returned list then
-    holds one result list per signal, or the ``ValueError`` that stopped
-    that signal and no other, such as a ``DomainError`` naming its first
-    unconverged replicate: its risks are never pooled, so it stops there.
+    each gets bit for bit the risks ``run_replicates`` gives it alone.  Returns
+    each signal's per-replicate risks, for the caller to pool
+    (``seeds.mean_se``), or the ``ValueError`` that stopped that signal and
+    no other.  Only converged solves are pooled: a signal stops at its first
+    unconverged replicate with a ``DomainError`` naming it.
     """
-    single = not isinstance(mu0, list)
-    signals = [np.asarray(mu, dtype=float) for mu in ([mu0] if single else mu0)]
+    signals = [np.asarray(mu, dtype=float) for mu in signals]
     indices = range(replicates) if np.isscalar(replicates) else replicates
-    if single and len(indices) < 1:
-        raise DomainError(f"replicates must be at least 1, got {replicates}")
     out = [[] for _ in signals]
     for j, i in enumerate(indices):
         inst = None
@@ -351,42 +372,9 @@ def run_replicates(
                 else:
                     inst = replace(inst, mu0=mu, Y=inst.X @ mu + inst.xi)
                 res = solve_instance(K, inst, solver_choice)
-                if not (single or res.converged):
+                if not res.converged:
                     raise DomainError(f"replicate {i} did not converge")
-                out[s].append(res)
+                out[s].append(res.risk)
             except ValueError as exc:
                 out[s] = exc
-    if not single:
-        return out
-    if isinstance(out[0], ValueError):
-        raise out[0]
-    return out[0]
-
-
-def empirical_risk(
-    K: ConstraintSet,
-    mu0,
-    m: int,
-    n: int,
-    sigma: float,
-    replicates: int,
-    base_seed: int = 0,
-    solver_choice: str = "auto",
-):
-    """Monte Carlo risk of the constrained LSE across replicates.
-
-    Returns ``(mean, se, per_replicate)``.  For a list of signals on shared
-    instances (``run_replicates``), returns each signal's per-replicate
-    risks, or the error that stopped it, for the caller to pool.  A signal
-    with a replicate whose solver did not converge has no risks: its error
-    is a ``DomainError`` naming the first (raised for one signal).
-    """
-    if isinstance(mu0, list):
-        return [res if isinstance(res, ValueError) else [r.risk for r in res]
-                for res in run_replicates(K, mu0, m, n, sigma, replicates, base_seed, solver_choice)]
-    if replicates < 10:
-        raise DomainError("empirical_risk needs at least 10 replicates")
-    [risks] = empirical_risk(K, [mu0], m, n, sigma, replicates, base_seed, solver_choice)
-    if isinstance(risks, ValueError):
-        raise risks
-    return mean_se(np.array(risks)) + (risks,)
+    return out

@@ -393,8 +393,7 @@ def test_criterion_11_solver_structure():
         gap = abs(math.sqrt(again.r_sq) - math.sqrt(sol.r_sq)) / math.sqrt(sol.r_sq)
         assert gap <= 5.0 * tol, f"restart gap {gap:.2e}"
         ratio = sol.r_sq / problem.sigma2
-        dk_lo = sol.delta_K - 3.0 * sol.delta_K_se
-        lo = dk_lo / (problem.m - dk_lo) if problem.m > dk_lo else math.inf
+        lo = sol.delta_K / (problem.m - sol.delta_K) if problem.m > sol.delta_K else math.inf
         dt_hi = sol.delta_T + 3.0 * sol.delta_T_se
         hi = dt_hi / (problem.m - dt_hi) if problem.m > dt_hi else math.inf
         assert ratio >= lo - 1e-9 and ratio <= hi + 1e-9, "bounds violated"

@@ -284,9 +284,9 @@ class TestRunExperiment:
         assert records[0].r_theory_sq is None and records[0].risk_emp_mean is None
         assert _values(records[1]) == _values(reference[1])
         K, design_seed = ConstraintSet.orthant(50), child_seed(child_seed(0, 0), 1)
-        with pytest.raises(DomainError, match="^replicate 2 did not converge$"):
-            empirical_risk(K, np.full(50, 5.0), 60, 50, 1.0, 10, design_seed)
-        assert empirical_risk(K, np.zeros(50), 60, 50, 1.0, 10, design_seed)[0] > 0
+        error, zero = empirical_risk(K, [np.full(50, 5.0), np.zeros(50)], 60, 50, 1.0, 10, design_seed)
+        assert isinstance(error, DomainError) and str(error) == "replicate 2 did not converge"
+        assert len(zero) == 10 and np.mean(zero) > 0
 
     def test_programming_error_in_verify_propagates(self, monkeypatch):
         def broken(K, inst, solver_choice):

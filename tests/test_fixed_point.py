@@ -169,6 +169,22 @@ class TestSolveClosedForms:
         with pytest.raises(DomainError, match="step tolerance"):
             quiet_solve(orthant_problem(u=5.0, m=100), tol=tol)
 
+    @pytest.mark.parametrize("bad", [{"tol": 2.0}, {"max_iter": 0}])
+    def test_bad_arguments_rejected_before_any_rows(self, bad, monkeypatch):
+        # monotone linear at n = m = 200 would draw 10,000 rows and project
+        # them for the apex control before reaching either check
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rows drawn or projected before the check")
+
+        for module, name in ((fixed_point, "gaussian_rows"), (constraints, "gaussian_rows"),
+                             (constraints, "project_rows")):
+            monkeypatch.setattr(module, name, forbidden)
+        n = 200
+        problem = FixedPointProblem(ConstraintSet.monotone_cone(n), resolve_signal("linear", n),
+                                    n, n, 1.0, MonteCarloConfig(10_000, 0))
+        with pytest.raises(DomainError, match="step tolerance|max_iter"):
+            quiet_solve(problem, **bad)
+
     def test_restart_uniqueness(self):
         tol = 1e-10
         base = quiet_solve(orthant_problem(u=5.0, m=60), tol=tol)
@@ -223,7 +239,7 @@ class TestSolveClosedForms:
         ]:
             sol = quiet_solve(problem, tol=tol)
             ratio = sol.r_sq / problem.sigma2
-            lo = (sol.delta_K - 3 * sol.delta_K_se) / (problem.m - (sol.delta_K - 3 * sol.delta_K_se))
+            lo = sol.delta_K / (problem.m - sol.delta_K)
             assert ratio >= lo - 1e-8
             dt_hi = sol.delta_T + 3 * sol.delta_T_se
             hi = dt_hi / (problem.m - dt_hi) if problem.m > dt_hi else math.inf
@@ -567,11 +583,10 @@ class TestNnlsR2:
 
 class TestClassifyRegime:
     def test_examples(self):
-        assert classify_regime(40, 25.0, 0.0, 25.0, 0.0) == "I"
-        assert classify_regime(40, 25.0, 0.0, 50.0, 0.0) == "II"
-        assert classify_regime(20, 25.0, 0.0, 50.0, 0.0) == "III"
+        assert classify_regime(40, 25.0, 25.0, 0.0) == "I"
+        assert classify_regime(40, 25.0, 50.0, 0.0) == "II"
+        assert classify_regime(20, 25.0, 50.0, 0.0) == "III"
 
     def test_guard_bands(self):
-        assert classify_regime(40, 39.0, 1.0, 60.0, 0.0) == "indeterminate"
-        assert classify_regime(40, 25.0, 0.0, 41.0, 1.0) == "indeterminate"
-        assert classify_regime(25, 25.0, 0.0, 25.0, 0.0) == "indeterminate"
+        assert classify_regime(40, 25.0, 41.0, 1.0) == "indeterminate"
+        assert classify_regime(25, 25.0, 25.0, 0.0) == "indeterminate"

@@ -35,7 +35,7 @@ from riskfix.linear_model import (
     run_replicates,
     solve_instance,
 )
-from riskfix.seeds import child_seed
+from riskfix.seeds import child_seed, mean_se
 
 AMP_CAP = inspect.signature(amp_solve).parameters["max_iter"].default
 
@@ -631,10 +631,11 @@ class TestEmpiricalRisk:
     def test_subspace_exact_ratio(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mean, se, per = empirical_risk(
+            [per] = empirical_risk(
                 ConstraintSet.coordinate_subspace(100, 10),
-                np.zeros(100), 1000, 100, 1.0, replicates=60, base_seed=19,
+                [np.zeros(100)], 1000, 100, 1.0, replicates=60, base_seed=19,
             )
+        mean, se = mean_se(np.array(per))
         assert len(per) == 60
         assert abs(mean - 10.0 / 990.0) <= 3.0 * se
 
@@ -646,36 +647,59 @@ class TestEmpiricalRisk:
         # solver error); the median tracks the in-probability limit.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mean, se, per = empirical_risk(
-                ConstraintSet.orthant(50), np.zeros(50), 40, 50, 1.0,
+            [per] = empirical_risk(
+                ConstraintSet.orthant(50), [np.zeros(50)], 40, 50, 1.0,
                 replicates=500, base_seed=20,
             )
         target = 5.0 / 3.0
         assert abs(np.median(per) - target) / target <= 0.15
-        assert abs(mean - target) / target <= 0.30
+        assert abs(np.mean(per) - target) / target <= 0.30
 
     def test_single_signal_error_is_raised(self):
-        # one signal: the ValueError that stops it is raised; in a list it is returned
+        # run_replicates raises the ValueError that stops its signal;
+        # empirical_risk returns it in that signal's place
         K, short = ConstraintSet.orthant(5), np.zeros(4)
         with pytest.raises(DomainError, match="^mu0 must be a vector of length 5$"):
             run_replicates(K, short, 10, 5, 1.0, 3)
-        [error] = run_replicates(K, [short], 10, 5, 1.0, 3)
+        [error] = empirical_risk(K, [short], 10, 5, 1.0, 3)
         assert isinstance(error, DomainError) and str(error) == "mu0 must be a vector of length 5"
 
-    def test_replicate_floor(self):
-        with pytest.raises(DomainError):
-            empirical_risk(ConstraintSet.orthant(5), np.zeros(5), 10, 5, 1.0, replicates=5)
-
     def test_seed_determinism(self):
-        args = (ConstraintSet.orthant(10), np.zeros(10), 30, 10, 1.0)
+        K, signals = ConstraintSet.orthant(10), [np.zeros(10)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, a = empirical_risk(*args, replicates=12, base_seed=21)
-            _, _, b = empirical_risk(*args, replicates=12, base_seed=21)
-            _, _, c = empirical_risk(*args, replicates=12, base_seed=22)
+            [a] = empirical_risk(K, signals, 30, 10, 1.0, replicates=12, base_seed=21)
+            [b] = empirical_risk(K, signals, 30, 10, 1.0, replicates=12, base_seed=21)
+            [c] = empirical_risk(K, signals, 30, 10, 1.0, replicates=12, base_seed=22)
         assert a == b
         assert a != c
 
     def test_child_seeds_are_distinct(self):
         seeds = {child_seed(0, i) for i in range(100)}
         assert len(seeds) == 100
+
+
+class TestUnconvergedReplicates:
+    """PGD capped at one iteration: replicate 2 of constant 5 on the orthant
+    (n = 50, m = 60) is the first whose solve does not converge."""
+
+    K, FIVE, ZERO = ConstraintSet.orthant(50), np.full(50, 5.0), np.zeros(50)
+    SEED = child_seed(child_seed(0, 0), 1)
+
+    @pytest.fixture(autouse=True)
+    def capped_pgd(self, monkeypatch):
+        monkeypatch.setattr(linear_model, "pgd_solve", functools.partial(pgd_solve, max_iter=1))
+
+    def test_run_replicates_returns_every_result(self):
+        results = run_replicates(self.K, self.FIVE, 60, 50, 1.0, 10, self.SEED)
+        assert len(results) == 10
+        assert [res.converged for res in results].index(False) == 2
+        for i, res in enumerate(results):  # the replicates after 2 are solved too
+            alone = solve_instance(self.K, generate_instance(60, 50, self.FIVE, 1.0, child_seed(self.SEED, i)))
+            assert (res.risk, res.converged, res.iterations) == (alone.risk, alone.converged, alone.iterations)
+
+    def test_empirical_risk_stops_that_signal_alone(self):
+        error, zero = empirical_risk(self.K, [self.FIVE, self.ZERO], 60, 50, 1.0, 10, self.SEED)
+        assert isinstance(error, DomainError) and str(error) == "replicate 2 did not converge"
+        assert zero == [res.risk for res in run_replicates(self.K, self.ZERO, 60, 50, 1.0, 10, self.SEED)]
+

@@ -7,11 +7,14 @@ one of those would leave the benchmark silently untimed or broken; these
 checks make it fail the test suite instead.
 """
 
+import importlib
+import pkgutil
 import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import riskfix
 import riskfix.experiments as experiments
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -25,6 +28,23 @@ def test_every_traced_attribute_resolves():
                for module, attr, _ in spans.PIECE_TARGETS + spans.LAYER_TARGETS
                if not callable(getattr(module, attr, None))]
     assert not missing, f"tracer targets gone: {missing}"
+
+
+def test_every_imported_row_pass_is_traced():
+    # A call through a module's own import binding is seen only if the tracer
+    # wraps the name in that module; an unwrapped one is timed into its
+    # caller's self time and counted nowhere.
+    traced = {(module.__name__, attr) for module, attr, _ in spans.PIECE_TARGETS + spans.LAYER_TARGETS}
+    importers = []
+    for info in pkgutil.iter_modules(riskfix.__path__, "riskfix."):
+        module = importlib.import_module(info.name)
+        for attr in ("project_rows", "gaussian_rows", "process_rows"):
+            function = getattr(module, attr, None)
+            if function is not None and function.__module__ != module.__name__:
+                importers.append((module.__name__, attr))
+    untraced = [f"{name}.{attr}" for name, attr in importers if (name, attr) not in traced]
+    assert not untraced, f"row passes the tracer does not count: {untraced}"
+    assert ("riskfix.sequence", "project_rows") in importers, importers  # the scan sees imports
 
 
 def test_every_workload_builds_its_config():
