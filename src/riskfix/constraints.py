@@ -15,9 +15,10 @@ accumulate in index order, so results do not depend on scheduling.
 from dataclasses import dataclass
 
 import numpy as np
-# isotonic_regression's PAVA core: its wrapper costs more than the fit (tests pin it).
-from scipy.optimize._pava_pybind import pava
 
+# isotonic_regression's PAVA core, called without its wrapper, which costs more
+# than the fit, and loaded without scipy.optimize's import (tests pin both).
+from ._scipy_core import pava
 from .errors import DescriptorError, DomainError, UnsupportedKindError
 from .seeds import gaussian_rows, mean_se
 

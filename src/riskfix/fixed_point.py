@@ -160,8 +160,8 @@ def solve(
 ) -> FixedPointSolution:
     """Solve the fixed-point equation by bracketing its root from r0.
 
-    Existence is gated on ``m > delta_K`` (exact); otherwise the status is
-    ``no_solution``.  Where T_K(mu0) = K, the root
+    Existence is gated on ``m > delta_K`` (exact) before any rows are drawn;
+    otherwise the status is ``no_solution``.  Where T_K(mu0) = K, the root
     ``sigma^2 delta_K / (m - delta_K)`` is reported as it is, with trace
     ``[r0_sq, r^2]``, bracket ``(r^2, r^2)``, and ``r_se`` and R2 statistic
     0.  Else, convergence criterion: evaluated ends ``lo <= r^2 <= hi`` with
@@ -182,8 +182,11 @@ def solve(
     if not max_iter >= 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     delta_k = statistical_dimension(problem.constraint)
-    err, (delta_t, se_t), default_tol = _path(problem, delta_k)
-    tol = default_tol if tol is None else tol
+    delta_t, se_t = exact = _exact_tangent_dimension(problem)
+    # the gate draws no rows: the l1 ball's delta_K is 0 < m, so below it delta_T is exact
+    if m > delta_k:
+        err, (delta_t, se_t), default_tol = _path(problem, delta_k, exact)
+        tol = default_tol if tol is None else tol
 
     l_n = math.log(1.0 + delta_t) + math.log(math.log(16.0 * n))
     regime = classify_regime(m, delta_k, delta_t, se_t)
@@ -359,8 +362,20 @@ def nnls_check_R2(prior: DiscretePrior, r: float, ratio: float, sigma: float) ->
     return R2Check(statistic=stat, holds=bool(stat < 1.0))
 
 
-def _path(problem: FixedPointProblem, delta_k: float):
+def _exact_tangent_dimension(problem: FixedPointProblem):
+    """``(delta_T, 0.0)`` with no rows where it is exact (a prior, a cone); else ``(None, None)``."""
+    K, signal = problem.constraint, problem.signal
+    if isinstance(signal, DiscretePrior):
+        return problem.n * (1.0 - signal.mass_at_zero / 2.0), 0.0
+    if K.is_cone:
+        return tangent_dimension(K, np.asarray(signal, dtype=float), None)
+    return None, None
+
+
+def _path(problem: FixedPointProblem, delta_k: float, exact: tuple):
     """How one problem evaluates E err: ``(err, (delta_T, SE), default tol)``.
+
+    ``exact`` is ``_exact_tangent_dimension(problem)``.
 
     ``err(omega)`` returns E err and a call for the rest of the evaluation,
     (err SE, E(lrt - err), SE), which ``solve`` makes only at its root:
@@ -378,17 +393,16 @@ def _path(problem: FixedPointProblem, delta_k: float):
     if isinstance(signal, DiscretePrior):
         return (lambda w: (n * w * w * prior_G(signal, w),
                            lambda: (0.0, 2.0 * n * w**2 * prior_H(signal, w), 0.0)),
-                (n * (1.0 - signal.mass_at_zero / 2.0), 0.0), 1e-10)
+                exact, 1e-10)
     mu0 = np.asarray(signal, dtype=float)
-    delta_T = tangent_dimension(K, mu0, None) if K.is_cone else None  # the l1 sphere's reads rows
-    if delta_T == (delta_k, 0.0):  # T_K(mu0) = K, so Pi_K(mu0 + omega h) - mu0 = omega Pi_K(h)
-        return None, delta_T, 1e-10
+    if exact == (delta_k, 0.0):  # T_K(mu0) = K, so Pi_K(mu0 + omega h) - mu0 = omega Pi_K(h)
+        return None, exact, 1e-10
     if K.kind == "orthant":
         def orthant_err(w):
             e = orthant_err_closed_form(mu0, w)
             return e, lambda: (0.0, orthant_lrt_closed_form(mu0, w) - e, 0.0)
 
-        return orthant_err, delta_T, 1e-10
+        return orthant_err, exact, 1e-10
 
     H = gaussian_rows(mc.seed, mc.samples, n)
     control = projected_sq_norms(K, H) - delta_k if K.is_cone else 0.0  # the l1 ball has none
@@ -399,4 +413,4 @@ def _path(problem: FixedPointProblem, delta_k: float):
         rest = (se,) + mean_se(lrt - e)
         return mean, lambda: rest
 
-    return err, delta_T if K.is_cone else tangent_dimension(K, mu0, H), 1e-6
+    return err, exact if K.is_cone else tangent_dimension(K, mu0, H), 1e-6

@@ -7,15 +7,17 @@ The two kernels
 
 give the exact sequence-model expectations for the positive orthant:
 ``E err(s) = s^2 * sum_i G(mu_i/s)`` and ``E lrt = E err + 2 s^2 * sum_i
-H(mu_i/s)``.  All functions accept scalars or arrays.
+H(mu_i/s)``.  All functions accept scalars or arrays.  Phi is scipy's
+``ndtr`` ufunc, loaded from its compiled module without importing
+``scipy.special`` (see ``_scipy_core``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._scipy_core import ndtr
 from .errors import DomainError
 
 # Beyond this point G and H are 1 and 0 to double precision; evaluating the

@@ -228,14 +228,26 @@ class TestTieDither:
 
 class TestPavaCore:
     """The monotone cone calls scipy's private PAVA core in place, without
-    ``isotonic_regression``'s wrapper.  These tests pin it to the public
-    function bit for bit, and check that no caller's array is written."""
+    ``isotonic_regression``'s wrapper, loaded from the core's own file.  These
+    tests pin it to the public function bit for bit, and check that no
+    caller's array is written."""
 
     def test_core_is_the_public_functions_core(self):
-        # A scipy upgrade that moves or replaces the core fails here by name.
+        # A scipy upgrade that moves or replaces either core fails here by name.
+        # Loaded from its file, a core is a second module object, so the files
+        # are compared, and the public names must still be those files' functions.
         import scipy.optimize._isotonic
+        import scipy.optimize._pava_pybind
+        import scipy.special._special_ufuncs
 
-        assert constraints.pava is scipy.optimize._isotonic.pava
+        from riskfix import _scipy_core, kernels
+
+        assert constraints.pava is _scipy_core.pava_pybind.pava
+        assert _scipy_core.pava_pybind.__file__ == scipy.optimize._pava_pybind.__file__
+        assert scipy.optimize._isotonic.pava is scipy.optimize._pava_pybind.pava
+        assert kernels.ndtr is _scipy_core.special_ufuncs.ndtr
+        assert _scipy_core.special_ufuncs.__file__ == scipy.special._special_ufuncs.__file__
+        assert scipy.special.ndtr is scipy.special._special_ufuncs.ndtr
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 300])
     def test_project_matches_the_public_function(self, n):

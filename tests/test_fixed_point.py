@@ -1,5 +1,6 @@
 """Fixed-point solver, NNLS analytic path, and regime classification."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -24,7 +25,7 @@ from riskfix.seeds import gaussian_rows, mean_se
 from riskfix.experiments import resolve_constraint, resolve_signal
 from riskfix.sequence import orthant_err_closed_form, process_rows
 
-from oracles import fixed_point_root_oracle
+from oracles import fixed_point_root_oracle, monotone_tangent_oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -143,6 +144,32 @@ class TestSolveClosedForms:
     def test_boundary_m_equals_delta(self):
         sol = quiet_solve(orthant_problem(u=0.0, m=25))
         assert sol.status == "no_solution"
+
+    @pytest.mark.parametrize("mu0, delta_t, l_n", [
+        (np.linspace(0.0, 1.0, 200), 200.0, 7.391570662698356),
+        (np.repeat([0.0, 1.0], 100), 10.374755035279241, 4.519662183884339),
+    ], ids=["linear", "two-blocks"])
+    def test_no_solution_draws_and_projects_nothing(self, mu0, delta_t, l_n, monkeypatch):
+        # below delta_K = H_200 every field is exact: the 10,000 x 200 rows
+        # and the apex projection a Monte Carlo solve reads are never made
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rows drawn or projected before the existence gate")
+
+        for module, name in ((fixed_point, "gaussian_rows"), (constraints, "gaussian_rows"),
+                             (constraints, "project_rows")):
+            monkeypatch.setattr(module, name, forbidden)
+        n = 200
+        K = ConstraintSet.monotone_cone(n)
+        sol = solve(FixedPointProblem(K, mu0, 5, n, 1.0))
+        assert delta_t == pytest.approx(monotone_tangent_oracle(mu0), rel=1e-14)
+        assert dataclasses.asdict(sol) == {
+            "r_sq": None, "omega": None, "trace": [], "status": "no_solution",
+            "delta_K": 5.878030948121446, "delta_T": delta_t, "delta_T_se": 0.0,
+            "regime": "III", "r2_statistic": None, "r2_se": 0.0, "r2_holds": None,
+            "r2_verified": None, "L_n": l_n, "bounds": (math.inf, math.inf), "r_se": 0.0,
+            "bracket": None,
+        }
+        assert sol.delta_K == constraints.statistical_dimension(K)
 
     def test_monotone_trace_from_zero(self):
         sol = quiet_solve(orthant_problem(u=5.0, m=60), tol=1e-10)

@@ -5,6 +5,8 @@ high-precision evaluation of the Gaussian cdf/pdf with mpmath at 40
 digits (see _mpmath_oracle below for regeneration).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,31 @@ class TestKernels:
         g = kernel_G(xs)
         for delta in (0.01, 0.1):
             assert np.all(kernel_G((1.0 + delta) * xs) <= g * (1.0 + 8.0 * delta) + 1e-12)
+
+
+class TestNdtrCore:
+    """``kernels`` calls scipy's ``ndtr`` ufunc loaded from its compiled module;
+    every value must be the one ``scipy.special.ndtr`` gives, bit for bit."""
+
+    CUTOFF = 40.0  # kernels' tail cutoff
+    X = np.concatenate([
+        np.linspace(-45.0, 45.0, 90_001),
+        [0.0, 1e-300, -1e-300, CUTOFF, -CUTOFF,
+         np.nextafter(CUTOFF, 0.0), np.nextafter(CUTOFF, np.inf)],
+    ])
+
+    def test_cdf_and_kernels_match_scipy_special(self):
+        from scipy.special import ndtr
+
+        x = self.X
+        assert np.array_equal(normal_cdf(x), ndtr(x))
+        x = np.abs(x)
+        xs = np.minimum(x, self.CUTOFF)
+        phi = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+        g = ndtr(xs) - xs * phi + xs * xs * ndtr(-xs)
+        h = xs * phi - xs * xs * ndtr(-xs)
+        assert np.array_equal(kernel_G(x), np.where(x > self.CUTOFF, 1.0, g))
+        assert np.array_equal(kernel_H(x), np.where(x > self.CUTOFF, 0.0, np.maximum(h, 0.0)))
 
 
 class TestDiscretePrior:
