@@ -25,10 +25,6 @@ from .seeds import gaussian_rows, mean_se
 KINDS = ("orthant", "monotone_cone", "l1_ball", "subspace")
 CONE_KINDS = ("orthant", "monotone_cone", "subspace")
 
-# Magnitude of the deterministic dither applied before counting structure
-# when the input sits on a non-differentiability set (exact ties).
-_DITHER = 1e-12
-
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
@@ -134,7 +130,9 @@ class ProjectionResult:
     ``divergence`` is the a.e. trace of the projection Jacobian at the
     input; ``structure`` counts strictly positive outputs (orthant),
     constant pieces (monotone cone), the active support (l1 ball), or the
-    subspace dimension.
+    subspace dimension.  Both are counted at the input as given, ties
+    included; on the cones the divergence is the dimension of the face
+    holding ``point`` (``face_span``).
     """
 
     point: np.ndarray
@@ -151,31 +149,21 @@ def project(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
     unique mu > 0 with ``sum_i (|x_i| - mu)_+ = radius``; the divergence is
     n at level 0, else support - 1.  Subspace: basis @ basis.T @ x.
 
-    Exact ties (inputs on the non-differentiability set: a zero coordinate,
-    equal neighbouring inputs; for the l1 ball one test, ||x||_1 = radius
-    or a coordinate at a positive level) are dithered once by
-    ``1e-12 * cos(1..n)`` before counting structure; the returned point is
-    always computed from the raw input.  Shape and finiteness are checked on
-    every call; ``x`` is never written.
+    Counts are taken at x as given, ties included: the positive outputs
+    (orthant), PAVA's block count, which is the number of constant pieces
+    because scipy pools equal values and equal means (monotone cone), and
+    the support of the point (l1 ball).  Shape and finiteness are checked
+    on every call; ``x`` is never written.
     """
     x = _check_vector(K, x)
     if K.kind == "orthant":
         point = np.maximum(x, 0.0)
-        tied = np.count_nonzero(x) < x.size
-        structure = int(np.count_nonzero(_dithered(x) > 0.0 if tied else point))
+        structure = int(np.count_nonzero(point))
         return ProjectionResult(point, float(structure), structure)
 
     if K.kind == "monotone_cone":
         point = x.copy()
         pieces = _pava(point)
-        # Exact ties sit on the non-differentiability set of the piece count:
-        # equal neighbouring inputs, or neighbouring blocks of equal mean.
-        # scipy's PAVA pools the latter into one block (so each block is one
-        # constant piece), inside which the partial sums of x - fit vanish.
-        # Recount after dithering.
-        if np.count_nonzero(x[1:] == x[:-1]) or np.count_nonzero(
-                ((x - point).cumsum()[:-1] == 0.0) & (point[1:] == point[:-1])):
-            pieces = _pava(_dithered(x))
         return ProjectionResult(point, float(pieces), pieces)
 
     if K.kind == "l1_ball":
@@ -322,17 +310,9 @@ def l1_threshold(x: np.ndarray, radius: float) -> float:
 
 
 def _project_l1(K: ConstraintSet, x: np.ndarray) -> ProjectionResult:
-    a = np.abs(x)
     mu = l1_threshold(x, K.radius)
-    gap = a - mu
-    kept = np.maximum(gap, 0.0)
+    kept = np.maximum(np.abs(x) - mu, 0.0)
     point = np.sign(x) * kept
-    # One tie: x on the sphere, or a coordinate exactly at a positive level.
-    # Its structure is the dithered input's, counted once.
-    if a.sum() == K.radius or (mu > 0.0 and np.count_nonzero(gap) < gap.size):
-        xc = _dithered(x)
-        mu = l1_threshold(xc, K.radius)
-        kept = np.maximum(np.abs(xc) - mu, 0.0)
     support = int(np.count_nonzero(kept))
     return ProjectionResult(point, float(support - 1) if mu > 0.0 else float(K.n), support)
 
@@ -363,11 +343,6 @@ def _pava(x: np.ndarray, w: np.ndarray = None, r: np.ndarray = None) -> int:
     w.fill(1.0)
     r.fill(-1)
     return pava(x, w, r)[3]
-
-
-def _dithered(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    return x + _DITHER * np.cos(np.arange(1.0, n + 1.0))
 
 
 def row_sq_norms(M: np.ndarray) -> np.ndarray:

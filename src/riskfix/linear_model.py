@@ -77,15 +77,21 @@ def generate_instance(
         raise DomainError("m and n must be positive")
     if not 0 < sigma < math.inf:
         raise DomainError("noise variance must be non-degenerate (sigma > 0)")
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (n,):
-        raise DomainError(f"mu0 must be a vector of length {n}")
+    mu0 = _checked_signal(mu0, n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = rng.standard_normal((m, n))
     X /= math.sqrt(n)
     xi = sigma * rng.standard_normal(m)
     Y = X @ mu0 + xi
     return DesignInstance(X=X, xi=xi, Y=Y, mu0=mu0, seed=seed)
+
+
+def _checked_signal(mu0, n: int) -> np.ndarray:
+    """mu0 as a float vector, checked to have length n."""
+    mu0 = np.asarray(mu0, dtype=float)
+    if mu0.shape != (n,):
+        raise DomainError(f"mu0 must be a vector of length {n}")
+    return mu0
 
 
 def amp_solve(
@@ -325,10 +331,14 @@ def run_replicates(
 
     Replicate i draws X and xi from ``child_seed(base_seed, i)``
     (``generate_instance``).  Every result is returned, converged or not
-    (``riskfix simulate`` prints them).
+    (``riskfix simulate`` prints them).  A signal of the wrong length, or
+    outside K, is a ``DomainError`` before any instance is drawn.
     """
     if replicates < 1:
         raise DomainError(f"replicates must be at least 1, got {replicates}")
+    mu0 = _checked_signal(mu0, n)
+    if not K.contains(mu0):
+        raise DomainError("signal must belong to the constraint set")
     return [solve_instance(K, generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, i)),
                            solver_choice)
             for i in range(replicates)]
@@ -354,8 +364,10 @@ def empirical_risk(
     each gets bit for bit the risks ``run_replicates`` gives it alone.  Returns
     each signal's per-replicate risks, for the caller to pool
     (``seeds.mean_se``), or the ``ValueError`` that stopped that signal and
-    no other.  Only converged solves are pooled: a signal stops at its first
-    unconverged replicate with a ``DomainError`` naming it.
+    no other; each signal's length is checked as ``generate_instance``
+    checks it, wherever the signal sits in the list.  Only converged solves
+    are pooled: a signal stops at its first unconverged replicate with a
+    ``DomainError`` naming it.
     """
     signals = [np.asarray(mu, dtype=float) for mu in signals]
     indices = range(replicates) if np.isscalar(replicates) else replicates
@@ -365,8 +377,8 @@ def empirical_risk(
         for s, signal in enumerate(signals):
             if isinstance(out[s], ValueError):
                 continue
-            mu = signal if signal.ndim == 1 else signal[j]
             try:
+                mu = _checked_signal(signal if signal.ndim == 1 else signal[j], n)
                 if inst is None:
                     inst = generate_instance(m, n, mu, sigma, seed=child_seed(base_seed, i))
                 else:

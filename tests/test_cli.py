@@ -34,7 +34,7 @@ class TestExitCodes:
         assert "divergence: 1.0" in out
 
     def test_project_l1_sphere_at_large_scale(self, tmp_path, capsys):
-        # on the sphere, with a dither below the input's resolution
+        # on the sphere at large scale: level 0, so divergence n
         path = tmp_path / "x.txt"
         path.write_text("100000 100000\n")
         assert run(["project", "--constraint", "l1_ball:200000", "--in", str(path)]) == 0
@@ -250,6 +250,11 @@ class TestSubcommands:
         assert run(["simulate", "--constraint", "orthant", "--n", "10", "--m", "30",
                     "--signal", "atoms=0:1.0", "--replicates", "10"]) == 1
         assert capsys.readouterr().err == "error: simulate needs an explicit signal vector, not a prior\n"
+
+    def test_simulate_rejects_a_signal_outside_the_set(self, capsys):
+        assert run(["simulate", "--constraint", "orthant", "--n", "5", "--m", "10",
+                    "--signal", "constant:-1", "--replicates", "2"]) == 1
+        assert capsys.readouterr().err == "error: signal must belong to the constraint set\n"
 
     def test_risk_curve_rejects_prior(self, capsys):
         assert run(["risk-curve", "--constraint", "orthant", "--n", "5",

@@ -117,7 +117,7 @@ class TestDescriptors:
 
 
 def dither(x: np.ndarray) -> np.ndarray:
-    """The documented tie-breaking perturbation, written out: x + 1e-12 cos(1..n)."""
+    """x + 1e-12 cos(1..n): a perturbation that moves x off its exact ties."""
     return x + 1e-12 * np.cos(np.arange(1, x.size + 1))
 
 
@@ -127,7 +127,8 @@ def oracle_pieces(x: np.ndarray) -> int:
 
 
 def oracle_l1_structure(x: np.ndarray, radius: float):
-    """(divergence, structure) of the l1 projection at a point off every tie."""
+    """(divergence, structure) of the l1 projection of x, counted at x; the
+    bisected threshold cannot tell a coordinate exactly at the level."""
     if np.abs(x).sum() <= radius:
         return float(x.size), int(np.count_nonzero(x))
     support = int(np.count_nonzero(np.abs(x) > l1_threshold_oracle(x, radius)))
@@ -136,48 +137,48 @@ def oracle_l1_structure(x: np.ndarray, radius: float):
 
 class TestTieDither:
     """Inputs exactly on a non-differentiability set count their structure at
-    the dithered input; the point always comes from the raw input.  Each case
-    is built so that the dithered count differs from a naive count at x."""
+    the input as given, as the returned point shows it.  Except where a
+    comment says otherwise, each case is built so that a count at the
+    perturbed input ``dither(x)`` differs from the count at x."""
 
     def test_orthant_exact_zeros(self):
-        # zeros at cos(1) > 0, cos(3) < 0, cos(5) > 0; -3e-13 at cos(6) = 0.96
-        # turns positive too, since the dither moves every coordinate.
+        # zeros at cos(1) > 0, cos(3) < 0, cos(5) > 0; -3e-13 at cos(6) = 0.96:
+        # the perturbation would count 4 positives, the point has 1.
         x = np.array([0.0, 1.5, 0.0, -2.0, 0.0, -3e-13])
         res = project(ConstraintSet.orthant(6), x)
         assert np.array_equal(res.point, np.maximum(x, 0.0))
-        assert np.count_nonzero(x > 0.0) == 1
-        assert res.structure == np.count_nonzero(dither(x) > 0.0) == 4
-        assert res.divergence == 4.0
+        assert np.count_nonzero(dither(x) > 0.0) == 4
+        assert res.structure == np.count_nonzero(res.point) == 1
+        assert res.divergence == 1.0
 
     @pytest.mark.parametrize(
-        "x, pieces, naive",
+        "x, dithered, pieces",
         [
-            # input tie x4 == x5 with cos(4) < cos(5): the dither splits it
+            # input tie x4 == x5 with cos(4) < cos(5): the perturbation splits it
             ([0.0, 1.0, 2.0, 3.0, 3.0, 4.0], 6, 5),
-            # input tie x2 == x3 with cos(2) > cos(3): the dither pools it
+            # input tie x2 == x3 with cos(2) > cos(3): the perturbation pools
+            # it, so both counts agree
             ([0.0, 1.0, 1.0, 2.0], 3, 3),
-            # input tie x5 == x6 (it sends the count to the dither): blocks
-            # (2, 0), (1), (1) pool into one block of mean 1 at x; the dither
-            # leaves three blocks
+            # input tie x5 == x6: blocks (2, 0), (1), (1) pool into one block
+            # of mean 1; the perturbation leaves three blocks
             ([-10.0, -9.0, 2.0, 0.0, 1.0, 1.0], 5, 3),
             # no input tie: blocks (2, 0) and (3, -1) share the mean 1, so PAVA
-            # pools them and the partial sums of x - fit vanish inside the
-            # pooled block (0, 0, 1, 0, 2, 0); the dither leaves four blocks
+            # pools them; the perturbation leaves four blocks
             ([-10.0, -9.0, 2.0, 0.0, 3.0, -1.0], 4, 3),
         ],
     )
-    def test_monotone_ties(self, x, pieces, naive):
+    def test_monotone_ties(self, x, dithered, pieces):
         x = np.array(x)
         res = project(ConstraintSet.monotone_cone(x.size), x)
         np.testing.assert_allclose(res.point, monotone_projection_oracle(x), atol=1e-12)
-        assert oracle_pieces(x) == naive
-        assert res.structure == oracle_pieces(dither(x)) == pieces
+        assert oracle_pieces(dither(x)) == dithered
+        assert res.structure == oracle_pieces(x) == pieces
         assert res.divergence == float(pieces)
 
     def test_pava_block_means_strictly_increase(self):
-        # The monotone cone's tie test relies on scipy's PAVA pooling
-        # neighbouring blocks of equal mean, including the blocks (2, 0) and
-        # (3, -1) of the first input: a shared mean shows only inside a block.
+        # project's piece count is PAVA's block count, which counts constant
+        # pieces only because scipy's PAVA pools neighbouring blocks of equal
+        # mean, including the blocks (2, 0) and (3, -1) of the first input.
         rng = np.random.default_rng(61)
         inputs = [np.array([-10.0, -9.0, 2.0, 0.0, 3.0, -1.0])]
         inputs += [rng.integers(-3, 4, size=int(rng.integers(2, 9))).astype(float)
@@ -188,8 +189,9 @@ class TestTieDither:
             assert np.all(means[1:] > means[:-1]), x
 
     def test_l1_coordinate_at_threshold(self):
-        # sorted |x| = (4, 2, 1) with radius 4 gives mu = 1 = |x_1| exactly;
-        # cos(1) > 0 keeps the dithered x_1 above the dithered threshold.
+        # sorted |x| = (4, 2, 1) with radius 4 gives mu = 1 = |x_1| exactly:
+        # x_1 maps to 0, and cos(1) > 0 would keep the perturbed x_1 above
+        # the perturbed threshold.
         x = np.array([1.0, 4.0, -2.0])
         K = ConstraintSet.l1_ball(3, 4.0)
         mu = l1_threshold_oracle(x, 4.0)
@@ -197,28 +199,31 @@ class TestTieDither:
         res = project(K, x)
         expected = np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
         np.testing.assert_allclose(res.point, expected, atol=1e-14)
-        assert np.count_nonzero(np.abs(x) > 1.0) == 2
-        assert (res.divergence, res.structure) == oracle_l1_structure(dither(x), 4.0) == (2.0, 3)
+        assert oracle_l1_structure(dither(x), 4.0) == (2.0, 3)
+        assert res.point[0] == 0.0
+        assert (res.divergence, res.structure) == (1.0, 2)
 
     @pytest.mark.parametrize(
         "x, radius, expected",
         [
-            # the dither leaves the ball: support 2, divergence 1
-            ([1.0, 1.0], 2.0, (1.0, 2)),
-            # the dither stays inside and makes the zero coordinate nonzero
-            ([-1.0, 1.0, 1.0, 0.0], 3.0, (4.0, 4)),
+            # the perturbation leaves the ball: support 2, divergence 1
+            ([1.0, 1.0], 2.0, (2.0, 2)),
+            # the perturbation stays inside and makes the zero coordinate nonzero
+            ([-1.0, 1.0, 1.0, 0.0], 3.0, (4.0, 3)),
         ],
     )
     def test_l1_on_the_sphere(self, x, radius, expected):
+        # on the sphere the level is 0: divergence n, structure the support of x
         x = np.array(x)
         assert np.abs(x).sum() == radius
         res = project(ConstraintSet.l1_ball(x.size, radius), x)
         assert np.array_equal(res.point, x)
-        assert (res.divergence, res.structure) == oracle_l1_structure(dither(x), radius) == expected
+        assert oracle_l1_structure(dither(x), radius) != expected
+        assert (res.divergence, res.structure) == oracle_l1_structure(x, radius) == expected
 
     def test_l1_on_the_sphere_below_dither_resolution(self):
-        # 1e5 + 1e-12*cos(i) rounds back to 1e5: the dithered input is x
-        # itself, still on the sphere, and counts as inside the ball
+        # 1e5 + 1e-12*cos(i) rounds back to 1e5, so no perturbation of this
+        # size moves x; on the sphere, at any scale, the level is 0
         x = np.array([1e5, 1e5])
         assert np.array_equal(dither(x), x)
         res = project(ConstraintSet.l1_ball(2, 2e5), x)
@@ -259,11 +264,7 @@ class TestPavaCore:
             else:
                 x = rng.integers(-3, 4, size=n).astype(float)
             public = isotonic_regression(x)
-            # an input tie, or a pooled block with a proper prefix at its mean
-            tied = np.count_nonzero(x[1:] == x[:-1]) > 0 or any(
-                np.any(np.cumsum(x[a:b] - public.x[a:b])[:-1] == 0.0)
-                for a, b in zip(public.blocks[:-1], public.blocks[1:]))
-            pieces = isotonic_regression(dither(x) if tied else x).blocks.size - 1
+            pieces = public.blocks.size - 1
             res = project(K, x)
             assert res.point.tobytes() == public.x.tobytes(), x
             assert (res.divergence, res.structure) == (float(pieces), pieces), x
@@ -588,6 +589,19 @@ class TestFace:
             if on_sphere:
                 assert s @ c == pytest.approx(K.radius, rel=1e-12)
             assert face(K, B @ c) == face(K, pr.point)
+
+    @pytest.mark.parametrize("kind", ["orthant", "monotone_cone"])
+    def test_span_dimension_is_the_divergence_on_ties(self, kind):
+        # Small integers put most inputs on a tie: a zero, equal neighbours or
+        # pooled blocks of equal mean.  The counts are the returned point's face.
+        rng = np.random.default_rng(32)
+        for _ in range(3000):
+            n = int(rng.choice([2, 3, 5, 8, 13]))
+            K = random_constraint(kind, n, rng)
+            x = rng.integers(-3, 4, size=n).astype(float)
+            pr = project(K, x)
+            label, _ = face_span(K, pr.point)
+            assert pr.divergence == pr.structure == face_matrix(K, label).shape[1], x
 
     @pytest.mark.parametrize("kind, scale, trend", [
         ("orthant", 1.0, 0.0), ("monotone_cone", 0.0, 1.0), ("l1_ball", 50.0, 0.0),

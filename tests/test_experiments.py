@@ -264,6 +264,41 @@ class TestRunExperiment:
         assert records[0].risk_emp_mean is not None
         assert len(calls) == 10
 
+    def test_constraint_error_fails_only_its_grid_point(self):
+        # a 60-dimensional subspace exists at n = 100, not at n = 50; the
+        # n = 100 cell is the one a grid without the failing point gives it
+        config = ExperimentConfig("sub", "subspace:60", ("zero",), ((50, 80), (100, 120)),
+                                  replicates=10, samples=200)
+        failed, ran = run_quiet(config)
+        assert failed.regime == "error: subspace dimension must satisfy 1 <= d <= n"
+        assert failed.r_theory_sq is None and failed.risk_emp_mean is None
+        assert (ran.regime, ran.r_theory_sq) == ("I", 1.0)
+        _, alone = run_quiet(replace(config, grid=((100, 120),) * 2))
+        assert _values(ran) == _values(alone)
+
+    def test_theory_solve_error_fails_only_its_signal(self, monkeypatch):
+        # zero is in the l1 ball of radius 1e-20, so its problem is built, but
+        # the solve's projections cannot resolve that radius
+        [rec] = run_quiet(ExperimentConfig("l1", "l1_ball:1e-20", ("zero",), ((12, 30),),
+                                           replicates=10, samples=200))
+        message = "l1 radius is below the floating-point resolution of the input"
+        assert rec.regime == f"error: {message}"
+        assert rec.r_theory_sq is None and rec.risk_emp_mean is None
+        # the same solve, run for linear's cells of SHARED, leaves the others as they were
+        reference, solve = run_quiet(SHARED), riskfix.experiments.solve
+
+        def fails_on_linear(problem):
+            if np.array_equal(problem.signal, resolve_signal("linear", problem.n)):
+                K = ConstraintSet.l1_ball(problem.n, 1e-20)
+                return solve(replace(problem, constraint=K, signal=np.zeros(problem.n)))
+            return solve(problem)
+
+        monkeypatch.setattr(riskfix.experiments, "solve", fails_on_linear)
+        records = run_quiet(SHARED)
+        assert [r.regime for r in records[2:4]] == [f"error: {message}"] * 2
+        assert [_values(r) for r in records[:2] + records[4:]] == [
+            _values(r) for r in reference[:2] + reference[4:]]
+
     def test_unconverged_replicate_fails_its_signal(self, monkeypatch):
         # at seed 0, AMP reaches its cap on replicates 2 and 8 of constant:5
         # and on none of zero's; PGD cut to one iteration finishes 8, not 2

@@ -664,6 +664,23 @@ class TestEmpiricalRisk:
         [error] = empirical_risk(K, [short], 10, 5, 1.0, 3)
         assert isinstance(error, DomainError) and str(error) == "mu0 must be a vector of length 5"
 
+    def test_signal_outside_the_set_is_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("instance drawn")
+
+        monkeypatch.setattr(linear_model, "generate_instance", no_draw)
+        with pytest.raises(DomainError, match="^signal must belong to the constraint set$"):
+            run_replicates(ConstraintSet.orthant(5), -np.ones(5), 10, 5, 1.0, 2)
+
+    @pytest.mark.parametrize("short_first", [True, False], ids=["short-first", "short-second"])
+    def test_short_signal_is_rejected_wherever_it_sits(self, short_first):
+        K, short, good = ConstraintSet.orthant(5), np.ones(4), np.ones(5)
+        signals = [short, good] if short_first else [good, short]
+        risks = empirical_risk(K, signals, 10, 5, 1.0, 2)
+        error, good_risks = risks if short_first else risks[::-1]
+        assert isinstance(error, DomainError) and str(error) == "mu0 must be a vector of length 5"
+        assert good_risks == [res.risk for res in run_replicates(K, good, 10, 5, 1.0, 2)]
+
     def test_seed_determinism(self):
         K, signals = ConstraintSet.orthant(10), [np.zeros(10)]
         with warnings.catch_warnings():
