@@ -266,11 +266,12 @@ def face_span(K: ConstraintSet, x: np.ndarray):
     support on the l1 sphere, else None.  B is never formed: column j is the
     indicator of {i : label[i] == j} (-1 fixes x_i at 0) over the positive support
     (orthant), the support (l1 sphere), every coordinate (l1 interior) or the
-    constant blocks (monotone cone); a subspace gives label None, B its basis."""
+    constant blocks (monotone cone); a subspace gives label None, B its basis.
+    The labels 0, 1, ... appear in order of coordinate, each at least once."""
     if K.kind == "subspace":
         return None, None
     if K.kind == "monotone_cone":
-        return np.r_[0, np.cumsum(x[1:] > x[:-1])], None
+        return np.concatenate(([0], np.cumsum(x[1:] > x[:-1]))), None
     sphere = K.kind == "l1_ball" and _on_sphere(K, x)
     on = x > 0.0 if K.kind == "orthant" else (x != 0.0) | (not sphere)
     return np.where(on, np.cumsum(on) - 1, -1), (np.sign(x[on]) if sphere else None)

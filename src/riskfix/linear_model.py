@@ -86,11 +86,13 @@ def generate_instance(
     return DesignInstance(X=X, xi=xi, Y=Y, mu0=mu0, seed=seed)
 
 
-def _checked_signal(mu0, n: int) -> np.ndarray:
-    """mu0 as a float vector, checked to have length n."""
+def _checked_signal(mu0, n: int, K: ConstraintSet | None = None) -> np.ndarray:
+    """mu0 as a float vector, checked to have length n and, given K, to lie in K."""
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (n,):
         raise DomainError(f"mu0 must be a vector of length {n}")
+    if K is not None and not K.contains(mu0):
+        raise DomainError("signal must belong to the constraint set")
     return mu0
 
 
@@ -241,26 +243,27 @@ def _face_minimizer(K: ConstraintSet, X: np.ndarray, Y: np.ndarray, x: np.ndarra
     iterate's, and not yet in ``tried`` (it is added).  None when untried, or
     unless z is unique and stays on the face: ``face(K, z)`` is x's.
 
-    With A = X B, gathered or block-summed from X's columns by label, the
-    normal equations A^T A c = A^T Y, bordered by s . c = radius on the l1
-    sphere, are solved by LU; z = B c.  Singular equations (more face
-    coordinates than m, or dependent columns) have no unique z.
+    A face of more free directions than m (p columns, less one on the sphere)
+    is turned down before X is read.  A = X B gathers X's face columns, or sums
+    each block's from X itself (no m x n copy) when every coordinate is on the
+    face; A^T A c = A^T Y, bordered by s . c = radius on the l1 sphere, is
+    solved by LU, z = B c, and a singular system (dependent columns) gives none.
     """
     new_key = face(K, x)
     if new_key != key or new_key in tried:
         return new_key, None
     tried.add(new_key)
     label, s = face_span(K, x)
-    if label is None:  # a subspace: B is its basis
-        A = X @ K.basis
-    else:  # X's columns on the face, summed over each block of several
-        on = np.flatnonzero(label >= 0)
-        A = X[:, on]
-        if on.size > label.max(initial=-1) + 1:
-            A = np.add.reduceat(A, np.flatnonzero(np.diff(label[on], prepend=-1)), axis=1)
-    p = A.shape[1]
+    p = K.basis.shape[1] if label is None else label.max(initial=-1) + 1
     if p - (s is not None) > X.shape[0]:
         return new_key, None
+    if label is None:  # a subspace: B is its basis
+        A = X @ K.basis
+    else:  # blocks summed from X in place; singletons copied: A = X rounds A.T @ A differently
+        on = np.flatnonzero(label >= 0)
+        A = X if p < on.size == label.size else X[:, on]
+        if on.size > p:
+            A = np.add.reduceat(A, np.searchsorted(label[on], np.arange(p)), axis=1)
     G, b = A.T @ A, A.T @ Y
     if s is not None:
         G, gram = np.zeros((p + 1, p + 1)), G
@@ -336,9 +339,7 @@ def run_replicates(
     """
     if replicates < 1:
         raise DomainError(f"replicates must be at least 1, got {replicates}")
-    mu0 = _checked_signal(mu0, n)
-    if not K.contains(mu0):
-        raise DomainError("signal must belong to the constraint set")
+    mu0 = _checked_signal(mu0, n, K)
     return [solve_instance(K, generate_instance(m, n, mu0, sigma, seed=child_seed(base_seed, i)),
                            solver_choice)
             for i in range(replicates)]
@@ -364,8 +365,8 @@ def empirical_risk(
     each gets bit for bit the risks ``run_replicates`` gives it alone.  Returns
     each signal's per-replicate risks, for the caller to pool
     (``seeds.mean_se``), or the ``ValueError`` that stopped that signal and
-    no other; each signal's length is checked as ``generate_instance``
-    checks it, wherever the signal sits in the list.  Only converged solves
+    no other.  A vector's length and membership in K are checked once, an
+    array's row by row, wherever the signal sits.  Only converged solves
     are pooled: a signal stops at its first unconverged replicate with a
     ``DomainError`` naming it.
     """
@@ -378,7 +379,9 @@ def empirical_risk(
             if isinstance(out[s], ValueError):
                 continue
             try:
-                mu = _checked_signal(signal if signal.ndim == 1 else signal[j], n)
+                mu = signal if signal.ndim == 1 else signal[j]
+                if j == 0 or signal.ndim > 1:  # a vector once per call, a row per replicate
+                    _checked_signal(mu, n, K)
                 if inst is None:
                     inst = generate_instance(m, n, mu, sigma, seed=child_seed(base_seed, i))
                 else:

@@ -4,9 +4,11 @@ These deliberately avoid the code paths they certify: the monotone
 projection oracle enumerates active sets instead of pooling, the l1
 threshold oracle bisects instead of sorting, the NNLS and l1 least-squares
 oracles enumerate supports (and signs), the monotone least-squares oracle
-runs scipy's bounded least squares on increments, the divergence oracle differentiates
-numerically, and the gradient mapping takes its step from an exact
-spectral norm instead of power iteration.  The orthant fixed-point oracle
+runs scipy's bounded least squares on increments, the face least-squares
+oracle forms the face's block indicators densely and multiplies them into X,
+the divergence oracle differentiates numerically, and the gradient mapping
+takes its step from an exact spectral norm instead of power iteration.  The
+orthant fixed-point oracle
 integrates the projection error directly and solves the risk equation by
 bracketing, without the kernels G/H or the package's root-finder; the
 generic fixed-point oracle runs scipy's ``brentq`` on any E err map.  The
@@ -174,6 +176,19 @@ def monotone_lsq_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     bounds = (np.r_[-np.inf, np.zeros(n - 1)], np.full(n, np.inf))
     fit = lsq_linear(X @ T, Y, bounds=bounds, method="bvls", tol=1e-15)
     return T @ fit.x
+
+
+def face_matrix(K: ConstraintSet, label: np.ndarray) -> np.ndarray:
+    """The B of ``face_span``'s labels, formed densely (small n only)."""
+    if label is None:
+        return K.basis
+    return (label[:, None] == np.arange(label.max(initial=-1) + 1)).astype(float)
+
+
+def face_lsq_oracle(X: np.ndarray, Y: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Least squares over the span of B's columns, B formed densely: B c for the
+    c minimizing ||Y - X B c||, by LAPACK's SVD-based ``lstsq`` on the dense product."""
+    return B @ np.linalg.lstsq(X @ B, Y, rcond=None)[0]
 
 
 def relative_gradient_mapping(

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import isotonic_regression
 
 from oracles import (
+    face_matrix,
     fd_divergence,
     l1_tangent_oracle,
     l1_threshold_oracle,
@@ -548,13 +549,6 @@ class TestProjectionInvariants:
         assert peak <= 4.5 * Y.nbytes
         mu = np.array([l1_threshold(y, K.radius) for y in Y])
         assert rows.tobytes() == (np.sign(Y) * np.maximum(np.abs(Y) - mu[:, None], 0.0)).tobytes()
-
-
-def face_matrix(K: ConstraintSet, label: np.ndarray) -> np.ndarray:
-    """The B of ``face_span``'s labels, formed densely (small n only)."""
-    if label is None:
-        return K.basis
-    return (label[:, None] == np.arange(label.max(initial=-1) + 1)).astype(float)
 
 
 class TestFace:

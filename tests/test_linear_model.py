@@ -20,8 +20,15 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from oracles import l1_lsq_oracle, monotone_lsq_oracle, nnls_oracle, relative_gradient_mapping
-from riskfix.constraints import ConstraintSet, face, project
+from oracles import (
+    face_lsq_oracle,
+    face_matrix,
+    l1_lsq_oracle,
+    monotone_lsq_oracle,
+    nnls_oracle,
+    relative_gradient_mapping,
+)
+from riskfix.constraints import ConstraintSet, face, face_span, project
 from riskfix.errors import DomainError
 from riskfix.experiments import get_preset, resolve_signal
 from riskfix.fixed_point import nnls_solve
@@ -348,6 +355,57 @@ class TestPgd:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("K, x", [
+        (ConstraintSet.orthant(4000), np.ones(4000)),
+        (ConstraintSet.monotone_cone(4000), np.linspace(0.0, 1.0, 4000)),
+        (ConstraintSet.l1_ball(4000, 10.0), np.full(4000, 1e-3)),
+    ], ids=["orthant", "monotone-singletons", "l1-interior"])
+    def test_face_wider_than_m_is_rejected_before_x_is_read(self, K, x):
+        # 4000 free directions against 20 rows: no unique minimizer, and no
+        # 20 x 4000 copy of X (0.64 MB) to find that out
+        rng = np.random.default_rng(14)
+        X, Y = rng.standard_normal((20, K.n)), rng.standard_normal(20)
+        tracemalloc.start()
+        try:
+            got = linear_model._face_minimizer(K, X, Y, x, face(K, x), set())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (face(K, x), None)
+        assert peak < X.nbytes
+
+    def test_blocky_monotone_face_is_summed_from_x_in_place(self):
+        # ten blocks of 400: A is 200 x 10, and X (6.4 MB) is never copied
+        K, x = ConstraintSet.monotone_cone(4000), np.repeat(np.arange(10.0), 400)
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((200, K.n))
+        Y = X @ x + 0.01 * rng.standard_normal(200)
+        tracemalloc.start()
+        try:
+            _, polish = linear_model._face_minimizer(K, X, Y, x, face(K, x), set())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert polish is not None and peak < X.nbytes
+
+    @pytest.mark.parametrize("K, x, m", [
+        (ConstraintSet.monotone_cone(60), np.repeat(np.arange(10.0), 6), 40),
+        (ConstraintSet.monotone_cone(30), np.arange(30.0), 60),
+        (ConstraintSet.monotone_cone(40), np.r_[np.zeros(8), np.arange(1.0, 13.0), np.full(15, 13.0),
+                                                 np.arange(14.0, 19.0)], 50),
+        (ConstraintSet.orthant(30), np.linspace(1.0, 2.0, 30), 60),
+    ], ids=["monotone-blocks", "monotone-singletons", "monotone-mixed", "orthant-all-positive"])
+    def test_polish_matches_a_dense_block_indicator_oracle(self, K, x, m):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((m, K.n)) / math.sqrt(K.n)
+        Y = X @ x + 0.01 * rng.standard_normal(m)
+        key = face(K, x)
+        _, (z, Xz) = linear_model._face_minimizer(K, X, Y, x, key, set())
+        expected = face_lsq_oracle(X, Y, face_matrix(K, face_span(K, x)[0]))
+        assert face(K, z) == key
+        np.testing.assert_allclose(z, expected, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(Xz, X @ z, rtol=0.0, atol=1e-10)
+
 
 class TestProjectionCount:
     """AMP projects once per iteration and PGD once more, before its loop,
@@ -671,6 +729,35 @@ class TestEmpiricalRisk:
         monkeypatch.setattr(linear_model, "generate_instance", no_draw)
         with pytest.raises(DomainError, match="^signal must belong to the constraint set$"):
             run_replicates(ConstraintSet.orthant(5), -np.ones(5), 10, 5, 1.0, 2)
+
+    def test_signal_outside_the_set_is_rejected_in_its_place(self, monkeypatch):
+        # a vector is checked once per call, each row of an array at its own
+        # replicate: here row 1 leaves K, after row 0 has been solved
+        K, good = ConstraintSet.orthant(5), np.ones(5)
+        rows = np.ones((2, 5))
+        rows[1, 0] = -1.0
+        expected = [res.risk for res in run_replicates(K, good, 10, 5, 1.0, 2)]
+        checked, solved = [], []
+        contains, solve = ConstraintSet.contains, linear_model.solve_instance
+
+        def counting_contains(K, x):
+            checked.append(x.copy())
+            return contains(K, x)
+
+        def counting_solve(K, inst, solver_choice):
+            solved.append(inst.mu0.copy())
+            return solve(K, inst, solver_choice)
+
+        monkeypatch.setattr(ConstraintSet, "contains", counting_contains)
+        monkeypatch.setattr(linear_model, "solve_instance", counting_solve)
+        outside, risks, row_error = empirical_risk(K, [-good, good, rows], 10, 5, 1.0, 2)
+        for error in (outside, row_error):
+            assert isinstance(error, DomainError)
+            assert str(error) == "signal must belong to the constraint set"
+        assert risks == expected
+        assert [x.tolist() for x in checked] == [(-good).tolist(), good.tolist(), rows[0].tolist(),
+                                                  rows[1].tolist()]
+        assert [mu.tolist() for mu in solved] == [good.tolist(), rows[0].tolist(), good.tolist()]
 
     @pytest.mark.parametrize("short_first", [True, False], ids=["short-first", "short-second"])
     def test_short_signal_is_rejected_wherever_it_sits(self, short_first):
