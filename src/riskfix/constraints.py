@@ -9,7 +9,9 @@ and tangent-cone dimensions: exact, but Monte Carlo on the l1 sphere.
 
 All operations are pure; Monte Carlo estimators average over rows from
 ``seeds.gaussian_rows`` (one seeded stream per matrix, read row by row) and
-accumulate in index order, so results do not depend on scheduling.
+accumulate in index order, so results do not depend on scheduling.  They
+reduce those rows block by block (``reduce_rows``), so a pass holds the rows
+plus one block's temporaries, never several matrices the size of the rows.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,14 @@ from .seeds import gaussian_rows, mean_se
 
 KINDS = ("orthant", "monotone_cone", "l1_ball", "subspace")
 CONE_KINDS = ("orthant", "monotone_cone", "subspace")
+
+# Floats per row block of ``reduce_rows`` (64 KiB): each temporary of a block
+# stays below glibc's default 128 KiB mmap threshold, so it is reused from the
+# heap.  An l1-sphere solve (n=100, m=60, 2,000 rows, one BLAS thread, 2-vCPU
+# x86_64), median ms with glibc's defaults / MALLOC_MMAP_THRESHOLD_=131072:
+# all rows at once 45-55 / 51, 32 KiB blocks 32-44 / 34-39, 64 KiB 27-33 /
+# 34-44, 128 KiB 25-29 / 39-49.  64 KiB is near the best under both.
+ROW_BLOCK_FLOATS = 8192
 
 
 @dataclass(frozen=True)
@@ -208,8 +218,25 @@ def mc_statistical_dimension(K: ConstraintSet, mc: MonteCarloConfig):
 
 
 def projected_sq_norms(K: ConstraintSet, H: np.ndarray) -> np.ndarray:
-    """||Pi_K(h)||^2 for each row h of ``H``, in one ``project_rows`` pass."""
-    return row_sq_norms(project_rows(K, H))
+    """||Pi_K(h)||^2 for each row h of ``H``, projected block by block
+    (``reduce_rows``), so no projected copy of ``H`` is formed."""
+    return reduce_rows(lambda B: row_sq_norms(project_rows(K, B)), H, np.empty(len(H)))
+
+
+def reduce_rows(f, H: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[..., i]`` with ``f``'s values for row i of ``H``, one row block at a time.
+
+    ``f`` maps a block of rows to its per-row values (shape ``(..., rows)``).
+    A block holds ``ROW_BLOCK_FLOATS // n`` rows (at least one), so f's
+    temporaries take memory of one block, not of ``H``, and stay in cache.
+    Each value reduces its own row alone, so the blocks change no bits, except
+    through a BLAS product (a subspace of general basis): its rounding can
+    depend on how many rows it is given.
+    """
+    step = max(1, ROW_BLOCK_FLOATS // H.shape[1])
+    for lo in range(0, len(H), step):
+        out[..., lo:lo + step] = f(H[lo:lo + step])
+    return out
 
 
 def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
@@ -222,7 +249,8 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
     (Amelunxen, Lotz, McCoy & Tropp 2014), which is n for n blocks of one;
     off the l1 sphere T = R^n, so n.  Only on the sphere does it read the
     standard Gaussian rows ``h`` of ``H`` (pass None otherwise): the mean of
-    ||Pi_T(h)||^2 over one ``project_rows`` pass of lifted rows.  With
+    ||Pi_T(h)||^2 over its rows, each lifted and projected block by block
+    (``reduce_rows``), so no lifted copy of ``H`` is formed.  With
     S = supp mu0 and s = sign mu0, T = {v : <s, v> + ||v off S||_1 <= 0};
     each row is lifted by L s, L = 2 max|H| + 1, and projected onto the ball
     of radius L |S|.  Blocks, l1 support and sphere test are ``face_span``'s.
@@ -241,11 +269,16 @@ def tangent_dimension(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray):
         return float(K.n), 0.0
     # The lifted ball's threshold solves d/dtau dist(h, tau * subdifferential)^2 = 0,
     # whose root is at most max|h| < L - max|h|: S keeps its signs, and fit - lift = Pi_T(h).
-    L = 2.0 * np.abs(H).max() + 1.0
+    L = 2.0 * max(H.max(), -H.min()) + 1.0  # max|H|, without an |H| copy
     lift = L * np.append(s, 0.0)[label]
-    fits = project_rows(ConstraintSet.l1_ball(K.n, L * s.size), H + lift)
-    fits -= lift
-    return mean_se(row_sq_norms(fits))
+    ball = ConstraintSet.l1_ball(K.n, L * s.size)
+
+    def tangent_sq_norms(B):
+        fits = project_rows(ball, B + lift)
+        fits -= lift
+        return row_sq_norms(fits)
+
+    return mean_se(reduce_rows(tangent_sq_norms, H, np.empty(len(H))))
 
 
 def face(K: ConstraintSet, x: np.ndarray) -> bytes:
@@ -337,12 +370,13 @@ def _pava(x: np.ndarray, w: np.ndarray = None, r: np.ndarray = None) -> int:
     """Fit ``x`` in place (C-contiguous float64, else pybind fits a copy); return the block count.
 
     ``w`` (size n) and ``r`` (intp, size n + 1) are work buffers the core
-    overwrites, refilled here as ``isotonic_regression`` fills them; None allocates them.
+    overwrites; None allocates them.  The core reads the weights ``w``, refilled
+    here with ones as ``isotonic_regression`` fills them, and writes ``r``
+    before it reads it, so ``r`` is left as it is.
     """
     if w is None:
         w, r = np.empty(x.size), np.empty(x.size + 1, np.intp)
     w.fill(1.0)
-    r.fill(-1)
     return pava(x, w, r)[3]
 
 

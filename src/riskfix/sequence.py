@@ -7,18 +7,21 @@ For ``y = mu0 + sigma * h`` and ``fit = Pi_K(y)`` the three processes are
     dof(sigma) = <fit - mu0, sigma * h>
 
 linked pathwise by ``lrt = 2 dof - err`` and ``err <= dof <= lrt``.
-``process_rows`` evaluates them for every row of a noise matrix in one
-row-wise projection; ``eval_processes`` is its checked one-row call.  Monte
-Carlo expectations over a sigma grid share one set of h draws (common
-random numbers), which keeps the pathwise monotonicity statements exactly
-testable and removes Monte Carlo jitter between grid points.
+``process_rows`` evaluates them for every row of a noise matrix, reducing
+the rows block by block (``constraints.reduce_rows``): the noise matrix is
+shared by every sigma, and its y, fits and residuals then exist one
+cache-sized block at a time, never at its full size.  ``eval_processes`` is
+its checked one-row call.  Monte Carlo expectations over a sigma grid share
+one set of h draws (common random numbers), which keeps the pathwise
+monotonicity statements exactly testable and removes Monte Carlo jitter
+between grid points.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, MonteCarloConfig, project_rows, row_sq_norms
+from .constraints import ConstraintSet, MonteCarloConfig, project_rows, reduce_rows, row_sq_norms
 # perfbench/spans.py wraps sequence.project; tests/test_tracer_targets.py checks the name resolves.
 from .constraints import project  # noqa: F401
 from .errors import DomainError
@@ -56,17 +59,25 @@ def eval_processes(K: ConstraintSet, mu0, sigma: float, h) -> tuple:
     return tuple(float(v[0]) for v in process_rows(K, mu0, sigma, H))
 
 
-def process_rows(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray):
-    """Vectorized err/lrt/dof arrays for the rows of ``H``; ``H`` is never written."""
-    Y = sigma * H
-    Y += mu0
-    fits = project_rows(K, Y)
-    Y -= fits  # residuals
-    fits -= mu0  # differences from mu0
-    err = row_sq_norms(fits)
-    dof = sigma * np.einsum("ij,ij->i", fits, H)
-    lrt = sigma * sigma * row_sq_norms(H) - row_sq_norms(Y)
-    return err, lrt, dof
+def process_rows(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray) -> np.ndarray:
+    """err, lrt and dof for the rows of ``H``, as the rows of a (3, len(H)) array.
+
+    The rows are reduced block by block (``reduce_rows``), so the pass holds
+    ``H`` and one block's y, fits and residuals; ``H`` is never written.
+    """
+
+    def processes(B):
+        Y = sigma * B
+        Y += mu0
+        fits = project_rows(K, Y)
+        Y -= fits  # residuals
+        fits -= mu0  # differences from mu0
+        err = row_sq_norms(fits)
+        dof = sigma * np.einsum("ij,ij->i", fits, B)
+        lrt = sigma * sigma * row_sq_norms(B) - row_sq_norms(Y)
+        return err, lrt, dof
+
+    return reduce_rows(processes, H, np.empty((3, len(H))))
 
 
 def mc_expectations(

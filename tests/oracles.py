@@ -14,9 +14,10 @@ bracketing, without the kernels G/H or the package's root-finder; the
 generic fixed-point oracle runs scipy's ``brentq`` on any E err map.  The
 monotone tangent-cone dimension is the exact sum of harmonic numbers over
 the signal's constant blocks; the l1 ball's tangent-cone projection is a
-one-dimensional minimization per row, solved by Brent's method.  ``process_rows_reference`` keeps the
-Monte Carlo process reductions as first written, one temporary per
-expression, as the bit-for-bit reference of the in-place version.
+one-dimensional minimization per row, solved by Brent's method.  The
+``*_reference`` functions keep the Monte Carlo row reductions as first
+written, in one pass over all rows with one temporary per expression: the
+bit-for-bit references of the package's in-place, block-by-block versions.
 """
 
 import itertools
@@ -28,7 +29,8 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq, lsq_linear
 from scipy.stats import norm
 
-from riskfix.constraints import ConstraintSet, project, project_rows, row_sq_norms
+from riskfix.constraints import ConstraintSet, face_span, project, project_rows, row_sq_norms
+from riskfix.seeds import gaussian_rows, mean_se
 
 
 def monotone_projection_oracle(x: np.ndarray) -> np.ndarray:
@@ -93,7 +95,7 @@ def l1_tangent_oracle(mu0, H: np.ndarray) -> np.ndarray:
 
 
 def process_rows_reference(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: np.ndarray):
-    """err, lrt and dof rows of ``y = mu0 + sigma h``, one temporary per expression."""
+    """err, lrt and dof rows of ``y = mu0 + sigma h``, all rows at once, one temporary per expression."""
     Y = mu0 + sigma * H
     fits = project_rows(K, Y)
     diffs = fits - mu0
@@ -102,6 +104,26 @@ def process_rows_reference(K: ConstraintSet, mu0: np.ndarray, sigma: float, H: n
     resid = Y - fits
     lrt = sigma * sigma * row_sq_norms(H) - row_sq_norms(resid)
     return err, lrt, dof
+
+
+def projected_sq_norms_reference(K: ConstraintSet, H: np.ndarray) -> np.ndarray:
+    """||Pi_K(h)||^2 for every row h of ``H``, from one ``project_rows`` pass."""
+    return row_sq_norms(project_rows(K, H))
+
+
+def mc_statistical_dimension_reference(K: ConstraintSet, mc) -> tuple:
+    """Mean and SE of ``projected_sq_norms_reference`` over ``mc``'s rows."""
+    return mean_se(projected_sq_norms_reference(K, gaussian_rows(mc.seed, mc.samples, K.n)))
+
+
+def l1_sphere_tangent_reference(K: ConstraintSet, mu0: np.ndarray, H: np.ndarray) -> tuple:
+    """``tangent_dimension`` on the l1 sphere with every row of ``H`` lifted and projected at once."""
+    label, s = face_span(K, mu0)
+    L = 2.0 * np.abs(H).max() + 1.0
+    lift = L * np.append(s, 0.0)[label]
+    fits = project_rows(ConstraintSet.l1_ball(K.n, L * s.size), H + lift)
+    fits -= lift
+    return mean_se(row_sq_norms(fits))
 
 
 def nnls_oracle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ bisection.
 """
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,13 +18,18 @@ from oracles import (
     face_matrix,
     fd_divergence,
     l1_tangent_oracle,
+    l1_sphere_tangent_reference,
     l1_threshold_oracle,
+    mc_statistical_dimension_reference,
     monotone_projection_oracle,
     monotone_tangent_oracle,
     near_tie,
+    process_rows_reference,
+    projected_sq_norms_reference,
 )
 from riskfix import constraints
 from riskfix.constraints import (
+    KINDS,
     ConstraintSet,
     MonteCarloConfig,
     divergence,
@@ -34,12 +40,14 @@ from riskfix.constraints import (
     polar_project,
     project,
     project_rows,
+    projected_sq_norms,
     statistical_dimension,
     tangent_dimension,
 )
 from riskfix.errors import DescriptorError, DomainError, UnsupportedKindError
 from riskfix.experiments import resolve_signal
 from riskfix.seeds import gaussian_rows
+from riskfix.sequence import process_rows
 
 def random_constraint(kind: str, n: int, rng) -> ConstraintSet:
     if kind == "orthant":
@@ -286,6 +294,20 @@ class TestPavaCore:
         for name, view in layouts.items():
             expected = np.array([isotonic_regression(row).x for row in view])
             assert project_rows(K, view).tobytes() == expected.tobytes(), name
+
+    def test_core_writes_r_before_reading_it(self):
+        # _pava hands the core an r holding whatever the last row left there; a
+        # scipy whose core starts reading r would fail here on garbage.
+        rng = np.random.default_rng(63)
+        for n in (1, 2, 7, 100):
+            w, r = np.empty(n), np.empty(n + 1, np.intp)
+            for trial in range(200):
+                x = rng.standard_normal(n) if trial % 2 else rng.integers(-3, 4, n).astype(float)
+                r[:] = rng.integers(-2**40, 2**40, n + 1)
+                public = isotonic_regression(x)
+                fit = x.copy()
+                assert constraints._pava(fit, w, r) == public.blocks.size - 1, x
+                assert fit.tobytes() == public.x.tobytes(), x
 
     def test_inputs_are_never_written(self):
         K = ConstraintSet.monotone_cone(50)
@@ -763,7 +785,8 @@ class TestDimensions:
         monkeypatch.setattr(constraints, "project_rows", counting)
         K = ConstraintSet.l1_ball(mu0.size, np.abs(mu0).sum())
         est, se = tangent_dimension(K, mu0, rows)
-        assert calls == [rows.shape]
+        step = constraints.ROW_BLOCK_FLOATS // mu0.size  # one call per row block
+        assert calls == [rows[lo:lo + step].shape for lo in range(0, len(rows), step)]
         assert est == pytest.approx(l1_tangent_oracle(mu0, rows).mean(), rel=1e-9, abs=0.0)
         if reference is not None:
             assert abs(est - reference) <= 4.0 * se
@@ -826,3 +849,87 @@ class TestDimensions:
     def test_samples_floor(self):
         with pytest.raises(DomainError):
             MonteCarloConfig(50, 0)
+
+
+def block_case(kind: str, n: int):
+    """K and a member of K: a sparse point (orthant), ties (monotone cone), a
+    point of the sphere (l1 ball), half the axes (subspace, as the grids build it)."""
+    x = 2.0 * np.sin(np.arange(n) + 1.0)
+    K = {"orthant": ConstraintSet.orthant(n), "monotone_cone": ConstraintSet.monotone_cone(n),
+         "l1_ball": ConstraintSet.l1_ball(n, 0.25 * n),
+         "subspace": ConstraintSet.coordinate_subspace(n, max(1, n // 2))}[kind]
+    if kind == "monotone_cone":
+        x = np.round(x + np.linspace(0.0, 4.0, n))
+    return K, project(K, x).point
+
+
+def block_row_counts(n: int) -> list:
+    """1, B - 1, B, B + 1 and 2,000 rows, B the rows of one block at n."""
+    step = constraints.ROW_BLOCK_FLOATS // n
+    return [1, step - 1, step, step + 1, 2000]
+
+
+class TestRowBlocks:
+    """The row reductions walk H block by block; each must equal the one-pass
+    formula (tests/oracles.py) bit for bit on both sides of a block boundary."""
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_process_rows_and_projected_sq_norms(self, kind, n):
+        K, mu0 = block_case(kind, n)
+        for rows in block_row_counts(n):
+            H = gaussian_rows(rows, rows, n)
+            for sigma in (0.05, 1.0, 3.7):
+                got = process_rows(K, mu0, sigma, H)
+                want = process_rows_reference(K, mu0, sigma, H)
+                for name, a, b in zip(("err", "lrt", "dof"), got, want):
+                    assert a.tobytes() == b.tobytes(), (rows, sigma, name)
+            got = projected_sq_norms(K, H)
+            assert got.tobytes() == projected_sq_norms_reference(K, H).tobytes(), rows
+
+    @pytest.mark.parametrize("kind", ["orthant", "monotone_cone", "subspace"])
+    def test_mc_statistical_dimension(self, kind):
+        # 1 row is below MonteCarloConfig's floor of 100 samples
+        K, _ = block_case(kind, 50)
+        for rows in block_row_counts(50)[1:]:
+            mc = MonteCarloConfig(rows, rows)
+            assert mc_statistical_dimension(K, mc) == mc_statistical_dimension_reference(K, mc), rows
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_l1_sphere_tangent_dimension(self, n):
+        K, mu0 = block_case("l1_ball", n)
+        assert face(K, mu0) != b""  # on the sphere, so the rows are read
+        for rows in block_row_counts(n):
+            H = gaussian_rows(rows, rows, n)
+            with warnings.catch_warnings():  # one row has no SE: nan on both sides
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got, want = tangent_dimension(K, mu0, H), l1_sphere_tangent_reference(K, mu0, H)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), rows
+
+    def test_general_subspace_basis_rounds_within_blas_error(self):
+        # A general basis projects through BLAS products, whose rounding
+        # depends on how many rows they get, so a short last block moves the
+        # last bits; a coordinate basis (above) multiplies exactly.
+        rng = np.random.default_rng(64)
+        basis = np.linalg.qr(rng.standard_normal((100, 40)))[0]
+        K = ConstraintSet.subspace(basis)
+        mu0 = basis @ rng.standard_normal(40)
+        H = gaussian_rows(5, 2000, 100)
+        for got, want in zip(process_rows(K, mu0, 1.0, H), process_rows_reference(K, mu0, 1.0, H)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(projected_sq_norms(K, H), projected_sq_norms_reference(K, H),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("kind, n", [("monotone_cone", 300), ("l1_ball", 100)])
+    def test_process_rows_peaks_well_below_one_h(self, kind, n):
+        # one pass over all rows held y, the fits and the residuals (2 H), and
+        # the l1 projection's magnitudes, sorted copy and candidates (5 H)
+        K, mu0 = block_case(kind, n)
+        H = gaussian_rows(7, 2000, n)
+        tracemalloc.start()
+        try:
+            process_rows(K, mu0, 1.0, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * H.nbytes

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -470,6 +471,24 @@ class TestEvaluationPath:
             sol = quiet_solve(FixedPointProblem(K, signal, m, n, 1.0, mc))
             assert sol.status == "converged", K.kind
             assert len(calls) == draws, K.kind
+
+    @pytest.mark.parametrize("kind, n, m, samples", [
+        ("monotone_cone", 300, 300, 6_000), ("l1_ball:50.5", 100, 60, 10_000),
+    ], ids=["monotone", "l1-sphere"])
+    def test_monte_carlo_solve_holds_little_beside_its_rows(self, kind, n, m, samples):
+        # The rows H are shared by every evaluation; the apex control, each E err
+        # pass and delta_T on the l1 sphere reduce them block by block, so the
+        # solve peaks near one H (one pass of all rows held 3 H, and 6 H on the sphere).
+        problem = FixedPointProblem(resolve_constraint(kind, n), resolve_signal("linear", n),
+                                    m, n, 1.0, MonteCarloConfig(samples, 3))
+        tracemalloc.start()
+        try:
+            sol = quiet_solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "converged"
+        assert peak <= 1.2 * samples * n * 8
 
 
 class TestEvaluationCount:
